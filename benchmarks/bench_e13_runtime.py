@@ -60,7 +60,7 @@ Series reproduced:
   compiling — also the per-query cost of ``SpannerService.restore()``;
   store hit/corrupt/orphan counters are stamped into the table;
 * fused multi-query serving (E13j): Q registered queries answering one
-  corpus through ``submit_all`` — one fused document pass
+  corpus through ``submit_all`` — one fused task per chunk
   (``fuse=True``) versus Q sequential scans (``fuse=False``) — with
   per-query outputs asserted byte-identical both ways; the workload is
   scan-dominated (anchored probes over ~16 KiB documents), so the
@@ -271,7 +271,7 @@ def run() -> list[Table]:
 
     def fleet_pass(service: SpannerService, ids: list[str]) -> list:
         futures = [
-            service.submit(qid, docs)
+            service.submit(docs, queries=qid)
             for qid, (_spanner, docs) in zip(ids, batches)
         ]
         return [future.result() for future in futures]
@@ -388,17 +388,18 @@ def _run_e13j():
     the same ~16 KiB-document corpus through ``submit_all``.
     ``fuse=False`` dispatches Q independent scans — the pre-fusion
     serving shape, shipping every document to the workers Q times;
-    ``fuse=True`` serves the whole set from one pass, shipping each
-    document once and demultiplexing tuples per member.  Per-query
-    outputs are asserted byte-identical between the two modes and
-    against the serial engine.
+    ``fuse=True`` serves the whole set from one task per chunk,
+    shipping each document once and demultiplexing tuples per member.
+    Per-query outputs are asserted byte-identical between the two
+    modes and against the serial engine.
 
-    The fused sweep deliberately runs each member's solo construction
-    verbatim (that is what makes the streams byte-identical), so the
-    per-member automaton work is never shared — what fusion shares is
-    everything *around* it: document transport, worker-side decode,
-    task dispatch and result round-trips, all paid once instead of Q
-    times.  This table therefore measures the scan-dominated serving
+    The sweep runs per member: a fused task runs each member's own
+    solo sweep and enumeration (that is what makes the streams
+    byte-identical), so the per-member automaton work is never shared
+    — what fusion shares is everything *around* it: document
+    transport, worker-side decode, task dispatch and result
+    round-trips (and the equality members' ``SubstringIndex``), all
+    paid once instead of Q times.  This table therefore measures the scan-dominated serving
     regime those shared costs govern; on workloads where per-query
     evaluation dwarfs the scan, fusion is byte-identical but roughly
     cost-neutral (the README's decision table spells this out).
@@ -485,9 +486,9 @@ def _run_e13g():
                 workers=2, chunk_size=16, task_timeout=timeout
             ) as service:
                 qid = service.register(CompiledSpanner(automaton))
-                service.submit(qid, docs).result()  # warm: artifact shipped
+                service.submit(docs, queries=qid).result()  # warm: artifact shipped
                 elapsed, out = _timed_best(
-                    lambda: service.submit(qid, docs).result(), repeat=5
+                    lambda: service.submit(docs, queries=qid).result(), repeat=5
                 )
                 counters[label] = (
                     service.tasks_timed_out,
@@ -552,9 +553,9 @@ def _run_e13h():
                 workers=2, chunk_size=16, **knobs
             ) as service:
                 qid = service.register(CompiledSpanner(automaton))
-                service.submit(qid, docs).result()  # warm: artifact shipped
+                service.submit(docs, queries=qid).result()  # warm: artifact shipped
                 elapsed, out = _timed_best(
-                    lambda: service.submit(qid, docs).result(), repeat=5
+                    lambda: service.submit(docs, queries=qid).result(), repeat=5
                 )
                 resources = service.health()["resources"]
                 counters[label] = (
@@ -823,8 +824,8 @@ def test_e13_fleet_two_queries_identical():
     with SpannerService(workers=2, chunk_size=8) as service:
         q_dict = service.register(CompiledSpanner(automaton))
         q_eq = service.register(eq_engine)
-        f_dict = service.submit(q_dict, dict_docs)
-        f_eq = service.submit(q_eq, eq_docs)
+        f_dict = service.submit(dict_docs, queries=q_dict)
+        f_eq = service.submit(eq_docs, queries=q_eq)
         assert _canonical(f_dict.result()) == _canonical(dict_serial)
         assert _canonical(f_eq.result()) == _canonical(eq_serial)
 
@@ -839,7 +840,7 @@ def test_e13_fleet_recycle_identical():
         workers=2, chunk_size=4, max_tasks_per_worker=1
     ) as service:
         qid = service.register(CompiledSpanner(automaton))
-        out = service.submit(qid, docs).result()
+        out = service.submit(docs, queries=qid).result()
         assert _canonical(out) == _canonical(serial)
         assert service.workers_recycled > 0
 
@@ -900,7 +901,7 @@ def test_e13_governed_fleet_identical():
         compile_timeout=60.0,
     ) as service:
         qid = service.register(CompiledSpanner(automaton))
-        out = service.submit(qid, docs).result()
+        out = service.submit(docs, queries=qid).result()
         resources = service.health()["resources"]
     assert _canonical(out) == _canonical(serial)
     assert resources["degraded_to_pipe"] == 0
@@ -914,7 +915,7 @@ def test_e13_governed_fleet_identical():
 def test_e13_fused_vs_sequential_identical():
     """CI smoke: submit_all over a mixed query set — two dictionary
     extractors and a fused equality query — must produce per-query
-    results byte-identical between one fused scan (``fuse=True``),
+    results byte-identical between fused tasks (``fuse=True``),
     Q sequential scans (``fuse=False``) and the serial engines.
     Identity asserts only, no wall-clock bound (the fused economics
     live in the E13j table)."""
@@ -928,7 +929,7 @@ def test_e13_fused_vs_sequential_identical():
     eq_engine = CompiledEvaluator().equality_runtime(_wide_dedup_query())
     assert eq_engine is not None
     # One shared corpus: every member of a fused batch answers the
-    # same documents (that is what makes one scan serve all of them).
+    # same documents (that is what lets one task serve all of them).
     docs = [_wide_text(24, seed=300 + i) for i in range(8)] + log_corpus(40)
     engines = [dict_a, dict_b, eq_engine]
     serial = [list(e.evaluate_many(docs)) for e in engines]

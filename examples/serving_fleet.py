@@ -71,9 +71,9 @@ def main() -> None:
         print(f"registered queries: {service.queries}\n")
 
         # -- sync front-end: futures, dispatched concurrently --------------
-        f_comp = service.submit(q_comp, lines)
-        f_code = service.submit(q_code, lines)
-        f_dedup = service.submit(q_dedup, logs)
+        f_comp = service.submit(lines, queries=q_comp)
+        f_code = service.submit(lines, queries=q_code)
+        f_dedup = service.submit(logs, queries=q_dedup)
 
         components = f_comp.result()
         print("ERROR components:")
@@ -173,7 +173,7 @@ def main() -> None:
         # so the cap genuinely bites.
         word_atom = "(ε|.*[^a-z])w{[a-z]+}([^a-z].*|ε)"
         qid = service.register(CompiledSpanner(word_atom))
-        capped = service.submit(qid, lines).result()
+        capped = service.submit(lines, queries=qid).result()
         truncated = service.health()["resources"]["docs_truncated"]
         print(
             f"\ngovernance: max_tuples=2 (truncate) kept "
@@ -193,7 +193,7 @@ def main() -> None:
         workers=2, chunk_size=4, max_tasks_per_worker=2
     ) as service:
         qid = service.register(CompiledSpanner(COMPONENT_ATOM))
-        recycled_out = service.submit(qid, lines).result()
+        recycled_out = service.submit(lines, queries=qid).result()
         assert recycled_out == components, "recycling changed the answers?!"
         print(
             f"\nrecycle run: {service.workers_recycled} workers recycled, "

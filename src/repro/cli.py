@@ -49,10 +49,10 @@ Subcommands:
   (warm start across CLI invocations) and persist what they compile.
 
 Multi-query fleet runs (``extract`` with several formulas, ``query``
-with ``--next-query``) default to **fused serving**: one document scan
-answers every query, demultiplexed per query with output bytes
-identical to the sequential scans; ``--no-fuse`` forces one scan per
-query (same bytes, more passes).
+with ``--next-query``) default to **fused serving**: one task per
+chunk answers every query, demultiplexed per query with output bytes
+identical to per-query submissions; ``--no-fuse`` forces one task per
+query per chunk (same bytes, more round-trips).
 
 Examples::
 
@@ -276,8 +276,8 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
     Every formula is registered on one :class:`SpannerService`, so the
     workers hold each compiled artifact at most once, and the whole
     batch goes through one :meth:`submit_all` — with ``--fuse`` (the
-    default) that is a single fused document scan answering every
-    formula at once; ``--no-fuse`` dispatches one scan per formula.
+    default) one fused task per chunk answers every formula at once;
+    ``--no-fuse`` dispatches one task per formula per chunk.
     Output is grouped query-major then file-major, exactly as the
     serial loop prints it, fused or not.
     """
@@ -382,7 +382,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 transport=args.transport,
                 encoding=args.encoding,
                 errors=args.errors,
-                fuse=args.fuse,
                 **_fleet_opts(args),
             )
             # Push --limit into the workers: a capped extraction must
@@ -464,7 +463,6 @@ def _query_parallel(
         transport=args.transport,
         encoding=args.encoding,
         errors=args.errors,
-        fuse=args.fuse,
         **_fleet_opts(args),
     ) as pool:
         streams = pool.evaluate_many(
@@ -577,8 +575,8 @@ def _query_fleet(
     The ``query`` twin of :func:`_extract_fleet`: every CQ's compiled
     engine (fused equality artifact or plain spanner) registers on one
     :class:`SpannerService`, the document batch goes through one
-    :meth:`submit_all` — a single fused scan with ``--fuse`` (default),
-    one scan per query with ``--no-fuse`` — and output is grouped
+    :meth:`submit_all` — one fused task per chunk with ``--fuse``
+    (default), one per query with ``--no-fuse`` — and output is grouped
     query-major (q0, q1, ...) then document-major, byte-identical to
     running each query serially.
     """
@@ -892,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=True,
             help=(
                 "serve multi-query --workers batches through one fused "
-                "document scan answering every query at once (default); "
-                "--no-fuse forces one scan per query — output bytes are "
+                "task per chunk answering every query at once (default); "
+                "--no-fuse forces one task per query — output bytes are "
                 "identical either way"
             ),
         )
@@ -966,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
             "start another CQ: the --atom/--head/--equal before each "
             "--next-query form one query; several queries print q0-, "
             "q1-, ... prefixed rows and share one fleet with --workers "
-            "(fused into a single document scan unless --no-fuse)"
+            "(fused into one task per chunk unless --no-fuse)"
         ),
     )
     p_query.add_argument(

@@ -33,11 +33,12 @@
   :meth:`SpannerService.restore` (atomic durable writes, checksummed
   versioned headers, corrupt-entry quarantine, LRU byte budgets);
 * :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine` and
-  :func:`plan_submission`, the one-pass multi-query fusion layer: a
-  registered query set unioned into a single tagged sweep per document
-  (the Theorem 3.11 union-in-one-pass shape, generalized to arbitrary
-  members) with per-member tuple streams byte-identical to sequential
-  serving, behind :meth:`SpannerService.extract_all`;
+  :func:`plan_submission`, the multi-query fusion layer: a registered
+  query set unioned into one tagged engine served by one task per
+  chunk (the Theorem 3.11 union shape, generalized to arbitrary
+  members; each member runs its own sweep) with per-member tuple
+  streams byte-identical to sequential serving, behind
+  :meth:`SpannerService.extract_all`;
 * :mod:`.faults` — :class:`FaultPlan` / :class:`FaultSpec`, the
   deterministic fault-injection harness the chaos suite threads into
   fleet workers (hangs, crashes, slow decodes, shm attach failures at

@@ -10,7 +10,6 @@ pool) and :class:`SerialBackend` (inline execution).
 from .base import (
     BACKEND_NAMES,
     ComputeBackend,
-    LocalHeartbeat,
     WorkerHandle,
     default_backend_name,
     resolve_backend,
@@ -19,7 +18,6 @@ from .base import (
 __all__ = [
     "BACKEND_NAMES",
     "ComputeBackend",
-    "LocalHeartbeat",
     "WorkerHandle",
     "default_backend_name",
     "resolve_backend",

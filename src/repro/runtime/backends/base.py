@@ -32,7 +32,7 @@ under every one of those behaviors unchanged.
 from __future__ import annotations
 
 import sys
-import threading
+import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
 
@@ -45,8 +45,9 @@ __all__ = [
     "BACKEND_NAMES",
     "ComputeBackend",
     "WorkerHandle",
-    "LocalHeartbeat",
     "default_backend_name",
+    "new_heartbeat",
+    "stamp_heartbeat",
     "resolve_backend",
 ]
 
@@ -70,31 +71,38 @@ def default_backend_name() -> str:
     return "process"
 
 
-class LocalHeartbeat:
-    """An in-process stand-in for the worker heartbeat ``Array("d", 4)``.
+#: Heartbeat slots: ``[seq, running task id (or -1), monotonic stamp,
+#: rss bytes, member ordinal (or -1)]``.  ``seq`` counts stamps: it is
+#: odd while the heartbeat's one writer is mid-stamp.
+HEARTBEAT_SLOTS = 5
+HEARTBEAT_MEMBER = 4
 
-    Thread and inline workers stamp the same quadruple — ``(running
-    task id, monotonic stamp, rss bytes, fused member ordinal)`` — the
-    process backend publishes through shared memory, so the driver's
-    deadline scan, memory watchdog and fused-member attribution read
-    every substrate identically.  Mirrors the two operations the worker
-    core and the driver use: ``get_lock()`` and indexing.
+#: What a never-stamped heartbeat reads as.
+HEARTBEAT_IDLE = (-1, 0.0, 0.0, -1)
+
+#: Consistent-read attempts before :meth:`WorkerHandle.read_heartbeat`
+#: falls back to the last consistent snapshot.
+HEARTBEAT_READ_TRIES = 64
+
+
+def new_heartbeat() -> list[float]:
+    """A fresh in-process heartbeat (thread and inline workers)."""
+    return [0.0, -1.0, 0.0, 0.0, -1.0]
+
+
+def stamp_heartbeat(heartbeat, *values: float, slot: int = 1) -> None:
+    """Publish ``values`` into consecutive slots from ``slot``.
+
+    A sequence lock with exactly one writer (the worker the heartbeat
+    belongs to), so the writer takes no lock at all and a worker killed
+    mid-stamp can never wedge a reader: the stamp is bracketed by two
+    ``seq`` increments, and readers retry (or keep their last
+    consistent snapshot) while ``seq`` is odd or moved under them.
     """
-
-    __slots__ = ("_values", "_lock")
-
-    def __init__(self) -> None:
-        self._values = [-1.0, 0.0, 0.0, -1.0]
-        self._lock = threading.Lock()
-
-    def get_lock(self) -> threading.Lock:
-        return self._lock
-
-    def __getitem__(self, index: int) -> float:
-        return self._values[index]
-
-    def __setitem__(self, index: int, value: float) -> None:
-        self._values[index] = value
+    seq = heartbeat[0] + 1.0
+    heartbeat[0] = seq  # odd: stamp in progress
+    heartbeat[slot:slot + len(values)] = values
+    heartbeat[0] = seq + 1.0  # even: consistent again
 
 
 class WorkerHandle:
@@ -105,16 +113,20 @@ class WorkerHandle:
     recycling and artifact-shipment policy are backend-blind; a
     concrete backend's handle subclass adds the substrate facts
     (process/thread object, task channel, heartbeat) and implements
-    :meth:`alive`, :attr:`pid` and :meth:`read_heartbeat`.
+    :meth:`alive` and :attr:`pid`.  ``heartbeat`` is the worker's
+    heartbeat array (see :func:`stamp_heartbeat`): a shared-memory
+    array for process workers, :func:`new_heartbeat` otherwise.
     """
 
     __slots__ = (
         "worker_id", "shipped", "in_flight", "assigned", "retiring",
-        "memory_flagged", "stopped",
+        "memory_flagged", "stopped", "heartbeat", "_last_heartbeat",
     )
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, heartbeat=None):
         self.worker_id = worker_id
+        self.heartbeat = new_heartbeat() if heartbeat is None else heartbeat
+        self._last_heartbeat = HEARTBEAT_IDLE
         self.shipped: set[str] = set()  # query ids this worker holds
         self.in_flight: dict[int, object] = {}  # task_id -> _Task
         self.assigned = 0  # lifetime task count (drives recycling)
@@ -136,8 +148,24 @@ class WorkerHandle:
         """The (running task id, stamp, rss bytes, member ordinal)
         quadruple; task id is -1 when idle, rss is 0.0 until the
         worker's first stamp, and the member ordinal is -1 outside a
-        fused task's per-member enumeration phases."""
-        raise NotImplementedError
+        task's per-member enumeration phases.
+
+        Never blocks and never returns a torn quadruple: when no
+        consistent read succeeds within :data:`HEARTBEAT_READ_TRIES`
+        (the worker is mid-stamp, or was killed mid-stamp), the last
+        consistent snapshot is returned instead.
+        """
+        heartbeat = self.heartbeat
+        for _ in range(HEARTBEAT_READ_TRIES):
+            seq = heartbeat[0]
+            if not seq % 2:
+                task, stamp, rss, member = heartbeat[1:HEARTBEAT_SLOTS]
+                if heartbeat[0] == seq:
+                    snapshot = (int(task), stamp, rss, int(member))
+                    self._last_heartbeat = snapshot
+                    return snapshot
+            time.sleep(0)
+        return self._last_heartbeat
 
 
 class ComputeBackend(ABC):

@@ -4,9 +4,9 @@ Byte-identical to the pre-seam ``SpannerService`` mechanism: spawned
 worker processes each owning a dedicated task queue and a *per-worker*
 result pipe (never one shared queue — a SIGKILL landing mid-send would
 wedge a shared queue's cross-process lock for every survivor), a shared
-``Array("d", 4)`` heartbeat per worker, pickled artifacts shipped at
-most once per worker lifetime, SIGKILL for hung or ballooning workers,
-and zombie-reader draining so results a dying worker flushed still
+lock-free ``Array("d", 5)`` heartbeat per worker, pickled artifacts
+shipped at most once per worker lifetime, SIGKILL for hung or
+ballooning workers, and zombie-reader draining so results a dying worker flushed still
 resolve their futures.
 
 Module-level worker functions stay module-level so both the ``fork``
@@ -23,7 +23,7 @@ import time
 from typing import TYPE_CHECKING, Callable
 
 from ...errors import QueryRejectedError
-from .base import ComputeBackend, WorkerHandle
+from .base import ComputeBackend, WorkerHandle, new_heartbeat
 from .worker import run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,9 +60,10 @@ def _fleet_worker(
     pipes a dying writer can only tear its own channel, which the
     driver detects (EOF / torn frame) and retires.
 
-    ``heartbeat`` is a shared ``Array('d', 4)`` the worker stamps with
-    ``(task_id, monotonic start time, rss_bytes, member_ordinal)`` when
-    a task begins and ``(-1, now, rss_bytes, -1)`` when it ends — see
+    ``heartbeat`` is a shared lock-free ``Array('d', 5)`` the worker
+    stamps with ``(task_id, monotonic start time, rss_bytes,
+    member_ordinal)`` when a task begins and ``(-1, now, rss_bytes,
+    -1)`` when it ends — see
     :func:`repro.runtime.backends.worker.run_task` for the stamping
     contract the deadline scan and memory watchdog rely on.
 
@@ -173,7 +174,7 @@ def compile_in_subprocess(
 class ProcessWorkerHandle(WorkerHandle):
     """Driver-side record of one worker process."""
 
-    __slots__ = ("process", "task_queue", "result_reader", "heartbeat")
+    __slots__ = ("process", "task_queue", "result_reader")
 
     def __init__(
         self,
@@ -183,13 +184,12 @@ class ProcessWorkerHandle(WorkerHandle):
         heartbeat,
         result_reader,
     ):
-        super().__init__(worker_id)
+        super().__init__(worker_id, heartbeat)
         self.process = process
         self.task_queue = task_queue
         #: Driver end of this worker's result pipe; ``None`` once
         #: retired (EOF observed, or handed to the zombie-drain list).
         self.result_reader = result_reader
-        self.heartbeat = heartbeat  # shared (running task_id, stamp, rss)
 
     @property
     def pid(self) -> int | None:
@@ -197,15 +197,6 @@ class ProcessWorkerHandle(WorkerHandle):
 
     def alive(self) -> bool:
         return self.process.is_alive()
-
-    def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
 
 
 class ProcessBackend(ComputeBackend):
@@ -260,13 +251,14 @@ class ProcessBackend(ComputeBackend):
         # why results must not share one queue (a SIGKILLed writer
         # would wedge the shared lock for every survivor).
         result_reader, result_writer = self._ctx.Pipe(duplex=False)
-        # [running task id (or -1.0), monotonic stamp, rss bytes,
-        # fused member ordinal (or -1.0)] — four doubles under one lock
-        # so a reader never sees a torn set.  RSS rides the same
-        # channel the deadline scan reads: the memory watchdog costs no
-        # extra IPC; the member slot is what lets a fused-task kill
-        # indict exactly the member being served.
-        heartbeat = self._ctx.Array("d", [-1.0, 0.0, 0.0, -1.0])
+        # [seq, running task id (or -1.0), monotonic stamp, rss bytes,
+        # member ordinal (or -1.0)] — lock-free, published by the
+        # worker through stamp_heartbeat's sequence counter, so a
+        # worker SIGKILLed mid-stamp can never wedge the driver's read.
+        # RSS rides the same channel the deadline scan reads: the
+        # memory watchdog costs no extra IPC; the member slot is what
+        # lets a fused-task kill indict exactly the member being served.
+        heartbeat = self._ctx.Array("d", new_heartbeat(), lock=False)
         process = self._ctx.Process(
             target=_fleet_worker,
             args=(

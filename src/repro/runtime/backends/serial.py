@@ -31,7 +31,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
-from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
+from .base import ComputeBackend, WorkerHandle
 from .worker import materialize, run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,11 +43,10 @@ __all__ = ["SerialBackend", "SerialWorkerHandle"]
 class SerialWorkerHandle(WorkerHandle):
     """Driver-side record of the inline pseudo-worker."""
 
-    __slots__ = ("heartbeat", "engines", "dead")
+    __slots__ = ("engines", "dead")
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
-        self.heartbeat = LocalHeartbeat()
         self.engines: dict[str, object] = {}  # run_task's engine table
         self.dead = False  # an injected crash "killed" this worker
 
@@ -57,15 +56,6 @@ class SerialWorkerHandle(WorkerHandle):
 
     def alive(self) -> bool:
         return not self.dead
-
-    def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
 
 
 class SerialBackend(ComputeBackend):

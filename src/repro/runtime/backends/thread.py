@@ -34,7 +34,7 @@ import queue
 import threading
 from typing import TYPE_CHECKING, Callable
 
-from .base import ComputeBackend, LocalHeartbeat, WorkerHandle
+from .base import ComputeBackend, WorkerHandle
 from .worker import materialize, run_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,13 +46,12 @@ __all__ = ["ThreadBackend", "ThreadWorkerHandle"]
 class ThreadWorkerHandle(WorkerHandle):
     """Driver-side record of one worker thread."""
 
-    __slots__ = ("thread", "task_queue", "heartbeat", "killed", "dead")
+    __slots__ = ("thread", "task_queue", "killed", "dead")
 
     def __init__(self, worker_id: int):
         super().__init__(worker_id)
         self.thread: threading.Thread | None = None
         self.task_queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.heartbeat = LocalHeartbeat()
         self.killed = False  # abandoned by the driver (watchdogs)
         self.dead = False  # exited on its own (injected crash)
 
@@ -65,14 +64,6 @@ class ThreadWorkerHandle(WorkerHandle):
             return False
         return self.thread is not None and self.thread.is_alive()
 
-    def read_heartbeat(self) -> tuple[int, float, float, int]:
-        with self.heartbeat.get_lock():
-            return (
-                int(self.heartbeat[0]),
-                self.heartbeat[1],
-                self.heartbeat[2],
-                int(self.heartbeat[3]),
-            )
 
 
 class ThreadBackend(ComputeBackend):

@@ -4,15 +4,28 @@ One task's evaluation is the same code whether the worker is a spawned
 process, a pool thread or the driver itself running inline: materialize
 the shipped artifact at most once per worker, run the exact serial
 per-document path under the resolved result caps, stamp the heartbeat
-at task boundaries (and per fused member), and report one tagged result
-message.  Backends differ only in how messages travel and what a
+at task boundaries (and per member per document), and report one tagged
+result message.  Backends differ only in how messages travel and what a
 "worker" physically is — that lives in the sibling modules; everything
 here is substrate-blind.
 
-Moved verbatim from :mod:`repro.runtime.service` when the backend seam
-was extracted; the wire format is unchanged: tasks are ``("task",
-task_id, attempt, query_id, payload, op, items, extra, caps)`` and
-results ``("done"|"fail", worker_id, task_id, payload, truncated)``.
+Wire format.  Tasks are ``("task", task_id, attempt, query_id, payload,
+op, items, extra, caps)`` with ``op`` one of:
+
+* ``evaluate`` — ``items`` are documents (or a :class:`ShmChunk`);
+* ``files`` — ``items`` are paths, read worker-side;
+* ``count`` — documents, one distinct-tuple count each (``extra`` is
+  the count cap).
+
+``query_id`` names the engine: a registered query's own, or a fused
+engine over several members.  An ``evaluate``/``files`` task serves
+every member of that engine — each member runs its own per-document
+sweep and enumeration — with ``caps`` one resolved cap per member (or
+``None``); a solo query is simply a one-member task.  Results are
+``("done"|"fail", worker_id, task_id, payload, truncated)``: ``done``
+carries one slot per member, ``("ok", per_doc, truncated)`` or ``("err",
+exc)`` (a ``count`` task answers with its one ``ok`` slot), and
+``fail`` a task-level exception that fails every member.
 """
 
 from __future__ import annotations
@@ -23,20 +36,20 @@ import time
 from itertools import islice
 
 from ...errors import ResultLimitError
-from ...spans import SpanTuple
 from ..compiled import CompiledSpanner
-from ..faults import _FloodingEngine
-from ..fusion import FusedQuery
+from ..faults import flood_stream
+from ..fusion import FusedEngine, FusedQuery
 from ..tables import AutomatonTables
 from ..transport import ShmChunk, open_chunk, read_document, release_chunk
+from .base import HEARTBEAT_MEMBER, stamp_heartbeat
 
 __all__ = [
     "current_rss",
     "enumerate_capped",
     "materialize",
     "materialize_payload",
-    "run_op",
-    "run_fused",
+    "run_count",
+    "run_members",
     "run_task",
     "CAP_PROBE_BATCH",
 ]
@@ -163,70 +176,25 @@ def materialize_payload(payload: object) -> object:
     return materialize(payload)
 
 
-def run_op(
-    engine,
-    op: str,
-    items: "list[str] | ShmChunk",
-    extra: int | None,
-    encoding: str,
-    errors: str,
-    caps: "tuple[int | None, int | None, str] | None" = None,
+def run_count(
+    engine, items: "list[str] | ShmChunk", cap: int | None
 ) -> tuple[list, int]:
-    """One task's evaluation — exactly the serial per-document path.
+    """One ``count`` task: a distinct-tuple count per document.
 
-    ``items`` is either the plain document/path list the pipe carried,
-    or a :class:`ShmChunk` reference to a shared-memory segment the
-    driver packed; either way the evaluation loop sees a sequence of
-    strings (decoded lazily out of the shared buffer in the shm case),
-    and the attachment is released before the result ships back.
-
-    ``caps`` is the resolved ``(max_tuples, max_result_bytes, policy)``
-    result cap (or ``None``, the uncapped fast path — ``islice`` at the
-    caller's explicit ``limit`` only, as before the governance layer).
-    Returns ``(per_doc_results, truncated_docs)``; under the ``error``
-    policy a crossed cap raises :class:`~repro.errors.ResultLimitError`
-    out of here instead.  ``count`` tasks are never capped — a count is
-    one integer per document regardless of how many tuples it counts.
+    Never capped — a count is one integer per document however many
+    tuples it counts.  Returns the one-member payload ``[("ok", counts,
+    0)]`` and zero truncations.
     """
     docs = open_chunk(items)
-    truncated = 0
     try:
-        if op == "evaluate":
-            out: list[list[SpanTuple]] = []
-            for doc in docs:
-                # Enumeration stops (polynomial delay) at whichever
-                # bound bites first instead of materializing
-                # combinatorially many tuples only to discard them.
-                tuples, cut = enumerate_capped(engine.stream(doc), extra, caps)
-                truncated += cut
-                out.append(tuples)
-            return out, truncated
-        if op == "count":
-            return [engine.count(doc, cap=extra) for doc in docs], 0
-        if op == "files":
-            # Only paths crossed the pipe; read the documents
-            # worker-side (huge files decode straight from mmap).
-            out = []
-            for path in docs:
-                doc = read_document(path, encoding=encoding, errors=errors)
-                tuples, cut = enumerate_capped(engine.stream(doc), extra, caps)
-                truncated += cut
-                out.append(tuples)
-            return out, truncated
-        raise ValueError(f"unknown task op {op!r}")
+        return [("ok", [engine.count(doc, cap=cap) for doc in docs], 0)], 0
     finally:
         release_chunk(docs)
 
 
-def _stamp_member(heartbeat, ordinal: float) -> None:
-    """Publish which fused member this worker is serving (-1 = shared)."""
-    if heartbeat is not None:
-        with heartbeat.get_lock():
-            heartbeat[3] = ordinal
-
-
-def run_fused(
+def run_members(
     engine,
+    query_id: str,
     op: str,
     items: "list[str] | ShmChunk",
     extra: int | None,
@@ -235,42 +203,61 @@ def run_fused(
     caps: "tuple | None" = None,
     heartbeat=None,
     fault_ctx: "tuple | None" = None,
+    flood: int | None = None,
 ) -> tuple[list, int]:
-    """One fused task: every member's answer from one pass per document.
+    """One ``evaluate``/``files`` task: every member's answer per document.
 
-    ``engine`` is a :class:`~repro.runtime.fusion.FusedEngine`; per
-    document its shared sweep runs once and each member's stream is then
-    enumerated under that *member's* resolved result cap (``caps`` is a
-    per-member tuple here, index-aligned with ``engine.member_ids``).
+    ``engine`` is a :class:`~repro.runtime.fusion.FusedEngine` or, for a
+    one-member task, the query's own engine (served as the member
+    ``query_id``).  ``items`` is the plain document/path list the pipe
+    carried or a :class:`ShmChunk` reference (decoded lazily, released
+    before the result ships back); ``files`` items are paths read
+    worker-side.  Per document, each member's stream is enumerated under
+    that *member's* resolved result cap — ``caps`` is a per-member tuple
+    of ``(max_tuples, max_result_bytes, policy)`` or ``None``, the
+    uncapped fast path — and ``extra`` is the caller's per-document
+    ``limit``.
+
     The return payload is one entry per member: ``("ok", per_doc_lists,
     truncated_docs)`` for members that completed, ``("err", exc)`` for
-    members whose enumeration raised — an ordinary per-member exception
-    fails exactly that member's future driver-side and, like every
-    ordinary worker exception, never charges a breaker.
+    members whose enumeration raised (a :class:`ResultLimitError` under
+    the ``error`` policy included) — an ordinary per-member exception
+    fails exactly that member's future driver-side and never charges a
+    breaker.
 
     Attribution: before each member phase the worker stamps the member
-    ordinal into the heartbeat's fourth slot (and fires that member's
+    ordinal into the heartbeat's member slot (and fires that member's
     injected faults via ``FaultPlan.apply_member``), so a worker killed
     mid-member — deadline, crash, memory — indicts exactly the member it
-    was serving; the shared sweep phase is stamped ``-1`` (unattributed:
-    a failure there charges every member, since all of them asked for
-    that pass).
+    was serving; the shared phase (reading the document, the equality
+    members' substring index) is stamped ``-1`` and a failure there
+    charges every member.  ``flood`` pads every member stream (the
+    ``tuple_flood`` chaos hook).
     """
+    if isinstance(engine, FusedEngine):
+        member_ids, streams_for = engine.member_ids, engine.streams
+    else:
+        member_ids = (query_id,)
+        streams_for = lambda doc: [engine.stream(doc)]  # noqa: E731
     docs = open_chunk(items)
-    member_ids = engine.member_ids
     m_count = len(member_ids)
     member_caps = caps if caps is not None else (None,) * m_count
     per_doc: list[list] = [[] for _ in range(m_count)]
     errs: list = [None] * m_count
     truncated = [0] * m_count
+    live = m_count  # members without an error yet
     try:
         for item in docs:
+            if not live:
+                break  # every member failed: the rest is unread
             _stamp_member(heartbeat, -1.0)
-            if op == "fused_files":
+            if op == "files":
+                # Only paths crossed the pipe (huge files decode
+                # straight from mmap).
                 doc = read_document(item, encoding=encoding, errors=errors)
             else:
                 doc = item
-            streams = engine.streams(doc)  # the one shared pass
+            streams = streams_for(doc)
             for m, stream in enumerate(streams):
                 if errs[m] is not None:
                     continue
@@ -280,16 +267,18 @@ def run_fused(
                     plan.apply_member(
                         task_id, attempt, member_ids[m], inline=inline
                     )
+                if flood is not None:
+                    stream = flood_stream(stream, flood)
                 try:
+                    # Enumeration stops (polynomial delay) at whichever
+                    # bound bites first instead of materializing
+                    # combinatorially many tuples only to discard them.
                     tuples, cut = enumerate_capped(
                         stream, extra, member_caps[m]
                     )
                 except Exception as err:
-                    try:  # ship the real exception when it pickles
-                        pickle.dumps(err)
-                    except Exception:
-                        err = RuntimeError(f"{type(err).__name__}: {err}")
-                    errs[m] = err
+                    errs[m] = _picklable(err)
+                    live -= 1
                     continue
                 per_doc[m].append(tuples)
                 truncated[m] += cut
@@ -306,6 +295,21 @@ def run_fused(
         return out, total_truncated
     finally:
         release_chunk(docs)
+
+
+def _stamp_member(heartbeat, ordinal: float) -> None:
+    """Publish which member this worker is serving (-1 = shared)."""
+    if heartbeat is not None:
+        stamp_heartbeat(heartbeat, ordinal, slot=HEARTBEAT_MEMBER)
+
+
+def _picklable(err: Exception) -> Exception:
+    """``err`` itself when it pickles, else a RuntimeError naming it."""
+    try:
+        pickle.dumps(err)
+    except Exception:
+        return RuntimeError(f"{type(err).__name__}: {err}")
+    return err
 
 
 def run_task(
@@ -341,12 +345,9 @@ def run_task(
         caps,
     ) = msg
     if heartbeat is not None:
-        rss = current_rss()
-        with heartbeat.get_lock():
-            heartbeat[0] = float(task_id)
-            heartbeat[1] = time.monotonic()
-            heartbeat[2] = rss
-            heartbeat[3] = -1.0
+        stamp_heartbeat(
+            heartbeat, float(task_id), time.monotonic(), current_rss(), -1.0
+        )
     try:
         # Materialize a shipped artifact *before* any injected
         # fault: the driver marks the query shipped the moment the
@@ -361,43 +362,31 @@ def run_task(
                 )
             engine = materialize_payload(payload)
             engines[query_id] = engine
-        fused = op in ("fused", "fused_files")
+        flood = None
         if fault_plan is not None:
             fault_plan.apply(task_id, attempt, inline=inline_faults)
             flood = fault_plan.flood_amount(task_id, attempt)
-            if flood is not None and not fused:
-                # Wrap for this task only; the cached engine stays
-                # clean for every other task of the query.  Fused
-                # engines are never wrapped — their members flood
-                # individually via member-scoped specs.
-                engine = _FloodingEngine(engine, flood)
-        if fused:
-            out, truncated = run_fused(
-                engine, op, items, extra, encoding, errors, caps,
+        if op == "count":
+            out, truncated = run_count(engine, items, extra)
+        elif op in ("evaluate", "files"):
+            out, truncated = run_members(
+                engine, query_id, op, items, extra, encoding, errors, caps,
                 heartbeat=heartbeat,
                 fault_ctx=(
                     (fault_plan, task_id, attempt, inline_faults)
                     if fault_plan is not None
                     else None
                 ),
+                flood=flood,
             )
         else:
-            out, truncated = run_op(
-                engine, op, items, extra, encoding, errors, caps
-            )
+            raise ValueError(f"unknown task op {op!r}")
     except Exception as err:
-        try:  # ship the real exception when it pickles
-            pickle.dumps(err)
-        except Exception:
-            err = RuntimeError(f"{type(err).__name__}: {err}")
-        result = ("fail", worker_id, task_id, err, 0)
+        result = ("fail", worker_id, task_id, _picklable(err), 0)
     else:
         result = ("done", worker_id, task_id, out, truncated)
     if heartbeat is not None:
-        rss = current_rss()
-        with heartbeat.get_lock():
-            heartbeat[0] = -1.0
-            heartbeat[1] = time.monotonic()
-            heartbeat[2] = rss
-            heartbeat[3] = -1.0
+        stamp_heartbeat(
+            heartbeat, -1.0, time.monotonic(), current_rss(), -1.0
+        )
     return result

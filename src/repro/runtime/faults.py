@@ -36,7 +36,7 @@ PR 7 adds the *resource* faults the governance layer defends against:
     the task itself still completes correctly; the driver must
     drain-and-recycle the worker at the next task boundary.
 ``tuple_flood``
-    the task's engine is wrapped so every document's result stream is
+    every member's per-document result stream in the task is
     padded to ``amount`` tuples — simulates the combinatorially large
     outputs Theorem 5.4 allows, deterministically, whatever the
     document; the result caps must fail (or truncate) exactly this
@@ -149,8 +149,8 @@ class FaultSpec:
         amount: size parameter for the resource faults — leaked bytes
             for ``rss_bloat``, padded tuples per document for
             ``tuple_flood``.
-        member: for *fused* tasks, the member query id whose per-member
-            phase triggers the fault (via :meth:`FaultPlan.apply_member`
+        member: the member query id whose per-member phase triggers
+            the fault (via :meth:`FaultPlan.apply_member`
             rather than :meth:`FaultPlan.apply`) — this is how the
             chaos suite proves a fused-task failure indicts exactly the
             offending member's circuit breaker.  ``None`` (the default)
@@ -203,9 +203,8 @@ class FaultSpec:
                 BLOAT_BYTES if self.amount is None else self.amount
             ))
         # tuple_flood does nothing here — the worker consults
-        # FaultPlan.flood_amount and wraps the task's engine instead,
-        # because the flood must happen *during* enumeration, after
-        # the engine is materialized.
+        # FaultPlan.flood_amount and pads each member stream instead,
+        # because the flood must happen *during* enumeration.
 
 
 @dataclass
@@ -355,8 +354,8 @@ class FaultPlan:
         """Padded per-document tuple count, when a flood is planned here.
 
         Returns ``None`` (no flood) for every task without an applicable
-        ``tuple_flood`` spec — the worker wraps the task's engine in
-        :class:`_FloodingEngine` only on a non-``None`` return.
+        ``tuple_flood`` spec — the worker pads its member streams with
+        :func:`flood_stream` only on a non-``None`` return.
         """
         spec = self.specs.get(task_id)
         if (
@@ -379,7 +378,7 @@ class FaultPlan:
 
         Member-scoped specs (``member=...``) are skipped here — they
         fire from :meth:`apply_member` inside the named member's phase
-        of a fused task.
+        of the task.
         """
         spec = self.specs.get(task_id)
         if spec is not None and spec.member is None and spec.applies_to(attempt):
@@ -392,9 +391,9 @@ class FaultPlan:
         query_id: str,
         inline: bool = False,
     ) -> None:
-        """Trigger a member-scoped fault inside a fused task's phase.
+        """Trigger a member-scoped fault inside a task's member phase.
 
-        Called by the fused-task runner just after stamping the member
+        Called by the worker's member loop just after stamping the member
         ordinal into the heartbeat and before evaluating that member,
         so the injected failure lands where a real per-member failure
         would — attributable to exactly one query.
@@ -418,40 +417,28 @@ class FaultPlan:
         )
 
 
-class _FloodingEngine:
-    """Engine wrapper that pads every document's stream to ``amount``.
+def flood_stream(stream, amount: int):
+    """``stream`` padded to ``amount`` tuples (the ``tuple_flood`` fault).
 
-    Used by the worker loop when :meth:`FaultPlan.flood_amount` names
-    the current task: the base engine's genuine tuples come out first
-    (so parity checks on the surviving prefix stay meaningful), then the
-    last tuple repeats until ``amount`` tuples have been yielded —
-    combinatorial output volume without a combinatorial document.
-    Documents with no matches stay empty: there is nothing to repeat,
-    and an all-empty flood would silently test nothing, so flood tests
-    use matching documents.
-
-    ``count`` delegates untouched — the flood targets enumeration,
+    The genuine tuples come out first (so parity checks on the
+    surviving prefix stay meaningful), then the last tuple repeats
+    until ``amount`` tuples have been yielded — combinatorial output
+    volume without a combinatorial document.  An empty stream stays
+    empty: there is nothing to repeat, and an all-empty flood would
+    silently test nothing, so flood tests use matching documents.
+    ``count`` tasks are never flooded — the flood targets enumeration,
     where the result caps do their incremental accounting.
     """
-
-    def __init__(self, base, amount: int):
-        self._base = base
-        self._amount = amount
-
-    def stream(self, doc):
-        produced = 0
-        last = None
-        for mu in self._base.stream(doc):
-            if produced >= self._amount:
-                return
-            last = mu
-            produced += 1
-            yield mu
-        if last is None:
+    produced = 0
+    last = None
+    for mu in stream:
+        if produced >= amount:
             return
-        while produced < self._amount:
-            yield last
-            produced += 1
-
-    def count(self, doc, cap=None):
-        return self._base.count(doc, cap=cap)
+        last = mu
+        produced += 1
+        yield mu
+    if last is None:
+        return
+    while produced < amount:
+        yield last
+        produced += 1

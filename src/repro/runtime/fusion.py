@@ -1,39 +1,29 @@
-"""One-pass multi-query fusion: many registered queries, one document scan.
+"""Multi-query fusion: many registered queries served by one task.
 
-The serving fleet registers many queries but evaluates each task with
-exactly one query's engine, so a corpus served to Q queries is scanned
-Q times.  This module fuses a registered query *set* into a single
-engine — the ``merge_extractors`` idiom lifted to vset-automata, with
-the UCQ perspective of §2.3/Theorem 3.11: a union whose disjuncts stay
-tagged with the query they came from, evaluated in one pass and
-demultiplexed on the way out.
+The serving fleet registers many queries; serving a batch to Q of them
+as Q separate submissions pays Q times for everything around the
+evaluation — chunk packing and transport, worker decode, dispatch, the
+result round-trip.  This module fuses a registered query *set* into a
+single engine with the UCQ perspective of §2.3/Theorem 3.11: a union
+whose disjuncts stay tagged with the query they came from, each
+evaluated on its own, demultiplexed on the way out.
 
-The key construction is :func:`fused_sweep`: the per-document leveled
-NFA construction of :func:`repro.enumeration.graph.build_evaluation_graph`
-run for several compiled queries inside **one** loop over the document's
-characters.  Each member keeps its own :class:`LeveledNFA` (its own
-node-id space), and within a member the loop body is *verbatim* the
-solo construction — nodes and edges are appended in identical order —
-so each member's radix enumeration yields a byte-identical tuple stream
-to a solo evaluation.  What is shared is the per-character framing:
-one pass over ``s``, one frontier bookkeeping step per member per
-character, members dropped from the live set the moment their frontier
-dies (so a member that stops matching early costs O(its matched
-prefix), exactly as it would solo).
+The per-document work is **not** shared: every member runs its own
+Theorem 3.3 sweep (:func:`repro.enumeration.graph.build_evaluation_graph`
+via :meth:`CompiledSpanner.stream`) and its own radix enumeration, so
+each member's tuple stream is byte-identical to a solo evaluation.
+What a fused task shares is the transport, decode, dispatch and result
+round-trips — and, for equality members, one per-document
+:class:`~repro.text.substrings.SubstringIndex` (the rolling-hash index
+dominates their per-document setup).
 
-Members that cannot join the sweep are grouped into *fusion cohorts*:
+:func:`plan_cohorts` groups members by kind:
 
-* ``sweep``/``static`` — :class:`AutomatonTables` members whose
-  readable alphabet is statically known (all-``Chars`` predicates);
-* ``sweep``/``dynamic`` — wildcard-alphabet tables members
-  (``NotChars``/``AnyChar``); fused in their own sweep so a
-  static-alphabet cohort's burst rows stay complete;
+* ``sweep`` — :class:`AutomatonTables` members, served through their
+  own :class:`CompiledSpanner`;
 * ``equality`` — :class:`CompiledEqualityQuery` members, which compile
-  a per-document automaton: they cannot share the leveled sweep, but
-  they *do* share one per-document
-  :class:`~repro.text.substrings.SubstringIndex` (the rolling-hash
-  index dominates their per-document setup);
-* ``solo`` — anything else falls back to its own engine, untouched.
+  a per-document automaton over the shared index;
+* ``solo`` — anything else, served by its own engine untouched.
 
 :class:`FusedQuery` is the ship-to-workers artifact (member ids +
 member artifacts, sorted by id, explicit pickle contract) and
@@ -48,9 +38,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Iterator, Sequence
 
-from ..automata.leveled import LeveledNFA, RadixEnumerator
-from ..enumeration.graph import EvaluationGraph
-from ..enumeration.enumerator import decode_configuration_word
 from ..spans import SpanTuple
 from ..text.substrings import SubstringIndex
 from .compiled import CompiledSpanner
@@ -60,7 +47,6 @@ from .tables import AutomatonTables
 __all__ = [
     "FusedQuery",
     "FusedEngine",
-    "fused_sweep",
     "fused_fingerprint",
     "fused_query_id",
     "plan_cohorts",
@@ -99,12 +85,9 @@ def fused_query_id(member_shas: Iterable[str]) -> str:
 def plan_submission(
     member_ids: Sequence[str], *, fuse: bool = True
 ) -> tuple[str, tuple[str, ...]]:
-    """The fused-vs-sequential decision point, shared by every caller.
+    """The fused-vs-sequential decision of ``SpannerService.submit_all``.
 
-    ``SpannerService.submit_all`` and single-query sessions
-    (:class:`~repro.runtime.parallel.ParallelSpanner`) both route
-    through this function so the decision is made in exactly one place:
-    fusion pays off only when at least two members share the scan.
+    Fusion pays off only when at least two members share one task.
 
     Returns ``("fused", ids)`` or ``("sequential", ids)``.
     """
@@ -120,159 +103,27 @@ def plan_cohorts(
     """Group members into fusion cohorts (see module docstring).
 
     ``members`` is the fused engine's ``(query_id, artifact)`` list;
-    the result pairs each cohort kind with ``(member_index, artifact)``
-    entries, member order preserved inside each cohort.  Sweep members
-    are split by :meth:`AutomatonTables.fusion_class` — compatible
-    (static-alphabet) tables fuse eagerly into one sweep, wildcard
-    tables into their own.
+    the result pairs each cohort kind — ``sweep``, ``equality`` or
+    ``solo`` — with ``(member_index, artifact)`` entries, member order
+    preserved inside each cohort.  A ``sweep`` entry is the member's
+    :class:`AutomatonTables`.
     """
-    static: list[tuple[int, object]] = []
-    dynamic: list[tuple[int, object]] = []
-    equality: list[tuple[int, object]] = []
-    solo: list[tuple[int, object]] = []
+    cohorts: dict[str, list[tuple[int, object]]] = {}
     for index, (_qid, artifact) in enumerate(members):
         if isinstance(artifact, CompiledSpanner):
             artifact = artifact.tables
         if isinstance(artifact, AutomatonTables):
-            if artifact.fusion_class() == "static":
-                static.append((index, artifact))
-            else:
-                dynamic.append((index, artifact))
+            kind = "sweep"
         elif isinstance(artifact, CompiledEqualityQuery):
-            equality.append((index, artifact))
+            kind = "equality"
         else:
-            solo.append((index, artifact))
-    cohorts: list[tuple[str, list[tuple[int, object]]]] = []
-    if static:
-        cohorts.append(("sweep-static", static))
-    if dynamic:
-        cohorts.append(("sweep-dynamic", dynamic))
-    if equality:
-        cohorts.append(("equality", equality))
-    if solo:
-        cohorts.append(("solo", solo))
-    return cohorts
-
-
-class _MemberSweep:
-    """One member's in-flight state inside :func:`fused_sweep`."""
-
-    __slots__ = ("member", "tables", "leveled", "node_of", "frontier")
-
-    def __init__(self, member: int, tables: AutomatonTables, n_slots: int):
-        self.member = member
-        self.tables = tables
-        self.leveled = LeveledNFA(n_slots)
-        self.node_of: dict[int, int] = {}
-        self.frontier: list[int] = []
-
-
-def _finalize(state: _MemberSweep, n: int) -> EvaluationGraph:
-    """The solo construction's epilogue: final lookup, prune, wrap."""
-    final_node = state.node_of.get(state.tables.automaton.final)
-    if final_node is not None:
-        state.leveled.mark_accepting(final_node)
-    state.leveled.prune()
-    return EvaluationGraph(state.leveled, state.tables.variables, n + 1)
-
-
-def fused_sweep(
-    entries: Sequence[tuple[int, AutomatonTables]], s: str
-) -> dict[int, EvaluationGraph]:
-    """Build every member's pruned evaluation graph in one pass over ``s``.
-
-    ``entries`` pairs member indices with their compiled tables; the
-    result maps each member index to the same
-    :class:`~repro.enumeration.graph.EvaluationGraph` the solo
-    :func:`~repro.enumeration.graph.build_evaluation_graph` would build
-    — node for node, edge for edge, in identical creation order — so
-    downstream radix enumeration is byte-identical per member.  Members
-    whose frontier dies are finalized immediately and dropped from the
-    live set; the character loop ends as soon as no member is live.
-    """
-    n = len(s)
-    graphs: dict[int, EvaluationGraph] = {}
-    live: list[_MemberSweep] = []
-    for member, tables in entries:
-        state = _MemberSweep(member, tables, n + 1)
-        if tables.is_empty:
-            state.leveled.prune()
-            graphs[member] = EvaluationGraph(
-                state.leveled, tables.variables, n + 1
-            )
-            continue
-        tables.require_all_closed_final()
-        # Level 1, exactly as the solo construction builds it.
-        configs = tables.configs
-        level_of = state.leveled.level_of
-        out_edges = state.leveled.out_edges
-        root_edges = out_edges[LeveledNFA.ROOT]
-        for q in tables.initial_ve:
-            level_of.append(1)
-            out_edges.append([])
-            node = len(level_of) - 1
-            state.node_of[q] = node
-            root_edges.append((configs[q], node))
-            state.frontier.append(q)
-        if state.frontier:
-            live.append(state)
-        else:
-            graphs[member] = _finalize(state, n)
-
-    for position in range(1, n + 1):
-        if not live:
-            break
-        ch = s[position - 1]
-        next_level = position + 1
-        survivors: list[_MemberSweep] = []
-        for state in live:
-            # Per member this block is the solo loop body verbatim;
-            # only the enclosing character loop is shared.
-            tables = state.tables
-            steps = tables.burst_step(ch)
-            configs = tables.configs
-            level_of = state.leveled.level_of
-            out_edges = state.leveled.out_edges
-            node_of = state.node_of
-            next_nodes: dict[int, int] = {}
-            next_frontier: list[int] = []
-            for p in state.frontier:
-                succs = steps[p]
-                if not succs:
-                    continue
-                src_edges = out_edges[node_of[p]]
-                for q in succs:
-                    dst = next_nodes.get(q)
-                    if dst is None:
-                        level_of.append(next_level)
-                        out_edges.append([])
-                        dst = len(level_of) - 1
-                        next_nodes[q] = dst
-                        next_frontier.append(q)
-                    src_edges.append((configs[q], dst))
-            state.node_of = next_nodes
-            state.frontier = next_frontier
-            if next_frontier:
-                survivors.append(state)
-            else:
-                graphs[state.member] = _finalize(state, n)
-        live = survivors
-
-    for state in live:
-        graphs[state.member] = _finalize(state, n)
-    return graphs
-
-
-def _iter_graph(graph: EvaluationGraph) -> Iterator[SpanTuple]:
-    """Radix-order tuples of one pruned graph (the Theorem 3.3 stream)."""
-    if graph.leveled.is_empty:
-        return
-    enumerator = RadixEnumerator(
-        graph.leveled, lambda config: config.sort_key()
-    )
-    variables = graph.variables
-    for word in enumerator:
-        yield decode_configuration_word(word, variables)
+            kind = "solo"
+        cohorts.setdefault(kind, []).append((index, artifact))
+    return [
+        (kind, cohorts[kind])
+        for kind in ("sweep", "equality", "solo")
+        if kind in cohorts
+    ]
 
 
 def _equality_stream(
@@ -332,52 +183,49 @@ class FusedEngine:
 
     Cohorts are planned once at construction; :meth:`streams` then
     yields one lazy tuple iterator per member (member order) per
-    document, the sweep cohorts sharing one character pass each and the
-    equality cohort sharing one :class:`SubstringIndex`.
+    document: each tables member's own :meth:`CompiledSpanner.stream`,
+    and the equality members' streams over one shared
+    :class:`SubstringIndex`.
     """
 
-    __slots__ = ("member_ids", "_sweeps", "_equality", "_solo")
+    __slots__ = ("member_ids", "_engines", "_equality")
 
     def __init__(self, fused: FusedQuery):
         self.member_ids = fused.member_ids
-        self._sweeps: list[list[tuple[int, AutomatonTables]]] = []
+        #: ``(member_index, engine with .stream)`` for non-equality members.
+        self._engines: list[tuple[int, object]] = []
         self._equality: list[tuple[int, CompiledEqualityQuery]] = []
-        self._solo: list[tuple[int, object]] = []
         for kind, entries in plan_cohorts(fused.members):
-            if kind.startswith("sweep"):
-                # Prebuild each member's burst rows exactly as a solo
-                # CompiledSpanner construction would (idempotent).
-                for _index, tables in entries:
-                    tables.prebuild_burst()
-                self._sweeps.append(entries)  # type: ignore[arg-type]
+            if kind == "sweep":
+                for index, tables in entries:
+                    # Prebuild each member's burst rows exactly as a
+                    # solo CompiledSpanner construction would.
+                    tables.prebuild_burst()  # type: ignore[attr-defined]
+                    spanner = CompiledSpanner.from_tables(tables)  # type: ignore[arg-type]
+                    self._engines.append((index, spanner))
             elif kind == "equality":
                 self._equality = entries  # type: ignore[assignment]
             else:
-                self._solo = entries
+                self._engines.extend(entries)
 
     def streams(self, s: str) -> list[Iterator[SpanTuple]]:
-        """One tuple iterator per member (member order) for document ``s``.
+        """One lazy tuple iterator per member (member order) for ``s``.
 
-        Sweep cohorts run their shared pass eagerly here (it *is* the
-        shared work); enumeration — and the equality members' per-
-        document compilation — stays lazy in the returned iterators.
+        Every member runs its own sweep and enumeration on first
+        ``next()``; only the equality members' :class:`SubstringIndex`
+        is built here, once, and shared.
         """
         out: list[Iterator[SpanTuple]] = [iter(())] * len(self.member_ids)
-        for entries in self._sweeps:
-            graphs = fused_sweep(entries, s)
-            for member, graph in graphs.items():
-                out[member] = _iter_graph(graph)
+        for member, engine in self._engines:
+            out[member] = engine.stream(s)  # type: ignore[attr-defined]
         if self._equality:
             index = SubstringIndex(s)
             for member, engine in self._equality:
                 out[member] = _equality_stream(engine, s, index)
-        for member, engine in self._solo:
-            out[member] = engine.stream(s)  # type: ignore[attr-defined]
         return out
 
     def __repr__(self) -> str:
         return (
             f"FusedEngine(members={len(self.member_ids)}, "
-            f"sweeps={len(self._sweeps)}, "
-            f"equality={len(self._equality)}, solo={len(self._solo)})"
+            f"equality={len(self._equality)})"
         )

@@ -75,7 +75,6 @@ from ..spans import SpanTuple
 from ..vset.automaton import VSetAutomaton
 from .compiled import CompiledSpanner
 from .equality import CompiledEqualityQuery
-from .fusion import plan_submission
 from .backends.base import BACKEND_NAMES
 from .service import (
     OVERLOAD_POLICIES,
@@ -160,14 +159,6 @@ class ParallelSpanner:
             sharing a store (e.g. a ``FileStore`` directory across
             process restarts) warm-start instead of recompiling; see
             :class:`SpannerService`.
-        fuse: whether this session participates in multi-query fusion
-            planning (:func:`repro.runtime.fusion.plan_submission`).
-            A ``ParallelSpanner`` serves exactly one query, and the
-            planner never fuses a single member, so the plan is always
-            ``"sequential"`` here — the knob exists so the session and
-            :meth:`SpannerService.submit_all` share one decision point
-            and the byte-identity guarantee is anchored to it rather
-            than to two code paths that merely happen to agree.
     """
 
     def __init__(
@@ -195,7 +186,6 @@ class ParallelSpanner:
         worker_memory_limit: int | None = None,
         worker_memory_hard_limit: int | None = None,
         artifact_store: "ArtifactStore | None" = None,
-        fuse: bool = True,
     ):
         if not isinstance(spanner, (CompiledSpanner, CompiledEqualityQuery)):
             # Remember the compilable origin: the compiled artifact's
@@ -288,7 +278,6 @@ class ParallelSpanner:
             )
         self.worker_memory_hard_limit = worker_memory_hard_limit
         self.artifact_store = artifact_store
-        self.fuse = fuse
         self._pool: "SpannerService | None" = None
         self._query_id: str | None = None
 
@@ -413,14 +402,8 @@ class ParallelSpanner:
         op: str,
         extra: int | None,
     ) -> Iterator:
-        assert self._query_id is not None
-        # One decision point for fused-vs-sequential serving, shared
-        # with SpannerService.submit_all: a single-member session always
-        # plans "sequential", so workers=1, pipe and shm stay
-        # byte-identical whether fusion is enabled or not — guaranteed
-        # by the planner, not by this module happening to agree with it.
-        mode, (query_id,) = plan_submission([self._query_id], fuse=self.fuse)
-        assert mode == "sequential", mode
+        query_id = self._query_id
+        assert query_id is not None
         pending: deque = deque()
         try:
             pending.append(

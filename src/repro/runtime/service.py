@@ -78,14 +78,15 @@ fleet:
   runs the compilation under the fleet's deadline pattern —
   :class:`~repro.errors.QueryRejectedError` instead of an unbounded
   compile.  ``health()['resources']`` reports all of it.
-* **One-pass multi-query fusion.**  ``submit_all(docs)`` (and the
+* **Multi-query fusion.**  ``submit_all(docs)`` (and the
   ``await``-able ``extract_all``) serves one batch to *every*
-  registered query in a single document scan: the members'
-  vset-automata are fused into one tagged engine
-  (:mod:`repro.runtime.fusion`) whose shared leveled-NFA sweep answers
-  all of them per document, demultiplexed per query — per-query
+  registered query with one task per chunk: the members are fused
+  into one tagged engine (:mod:`repro.runtime.fusion`) that runs each
+  member's own sweep per document, demultiplexed per query — per-query
   streams byte-identical (content and order) to Q sequential
-  submissions.  Fused tasks ride the same deadline / result-cap /
+  submissions, with transport, decode, dispatch and result round-trips
+  paid once.  A solo submission is the one-member case of the same
+  task path, so every task rides the same deadline / result-cap /
   breaker machinery; the heartbeat's member slot lets a fused failure
   indict exactly the offending query's breaker.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
@@ -128,7 +129,6 @@ import pickle
 import signal
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError, wait
 from itertools import count
@@ -243,10 +243,15 @@ MAX_WORKER_PREFETCH = 2
 class _Task:
     """One dispatched chunk: its future, where it is, how often it ran.
 
+    ``query_id`` names the engine that serves the chunk (the query's
+    own, or a fused engine's pseudo-id) and ``members`` the query ids it
+    answers, index-aligned with the engine's member order (and hence
+    the heartbeat's member ordinal) — ``(query_id,)`` for a solo query.
     ``items`` is the *wire form* of the chunk — the plain document/path
     list for pipe transport, or the :class:`ShmChunk` reference whose
     segment the driver holds alive until this task resolves (so a crash
-    re-dispatch re-sends the same reference without re-packing).
+    re-dispatch re-sends the same reference without re-packing).  The
+    future resolves to the worker's per-member slots.
     """
 
     __slots__ = (
@@ -259,20 +264,21 @@ class _Task:
         self,
         task_id: int,
         query_id: str,
+        members: "tuple[str, ...]",
         op: str,
         items: "list[str] | ShmChunk",
         extra: int | None,
         bounded: bool,
         deadline: float | None = None,
-        caps: "tuple[int | None, int | None, str] | None" = None,
-        members: "tuple[str, ...] | None" = None,
+        caps: "tuple | None" = None,
     ):
         self.task_id = task_id
         self.query_id = query_id
+        self.members = members
         self.op = op
         self.items = items
         self.extra = extra
-        self.caps = caps  # resolved (max_tuples, max_bytes, policy)
+        self.caps = caps  # per member: (max_tuples, max_bytes, policy)
         self.future: Future = Future()
         self.worker: "WorkerHandle | None" = None
         self.attempts = 0
@@ -280,9 +286,6 @@ class _Task:
         self.bounded = bounded  # holds one max_in_flight slot
         self.deadline = deadline  # seconds of *execution* per attempt
         self.not_before = 0.0  # monotonic re-dispatch eligibility (backoff)
-        #: Fused tasks only: member query ids, index-aligned with the
-        #: engine's member order (and hence the heartbeat ordinal).
-        self.members = members
         #: The member a fleet-level failure was attributed to (from the
         #: heartbeat's member slot); None = unattributed, charge all.
         self.indicted: str | None = None
@@ -705,7 +708,7 @@ class SpannerService:
         """The registered query ids, in registration order.
 
         Fused pseudo-entries (internal engines the fleet builds to
-        serve ``submit_all`` in one pass) are plumbing, not registered
+        serve ``submit_all`` in one task per chunk) are plumbing, not registered
         queries, and are filtered out here as everywhere public.
         """
         with self._lock:
@@ -1565,9 +1568,9 @@ class SpannerService:
     ) -> Future:
         """Dispatch one chunk; returns the future of its result list.
 
-        The building block the batch APIs (and
+        The building block
         :class:`~repro.runtime.parallel.ParallelSpanner`'s streaming
-        sessions) fan out over.  While ``max_in_flight`` chunks are
+        sessions fan out over.  While ``max_in_flight`` chunks are
         already outstanding the ``on_overload`` policy applies (block,
         reject, or shed the oldest backlogged task).  ``timeout``
         overrides the query/service deadline for this chunk alone, and
@@ -1577,10 +1580,45 @@ class SpannerService:
         before consuming an in-flight slot or any worker time — while
         the query's circuit breaker is open.
         """
+        items = list(items)
+        return self._submit_batch(
+            query_id, items, op, extra, timeout, max_tuples,
+            max_result_bytes, chunk_size=max(len(items), 1),
+        )
+
+    def _submit_batch(
+        self,
+        query_id: str,
+        items: Iterable[str],
+        op: str,
+        extra: int | None,
+        timeout: float | None = _UNSET,  # type: ignore[assignment]
+        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
+        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
+        *,
+        chunk_size: int | None = None,
+    ) -> Future:
+        """One query's batch: the member future of a one-member
+        :meth:`_serve` (no fused engine, no pseudo-registry entry)."""
         # Normalize QueryHandle (a str subclass) back to plain str so
         # the worker wire protocol never pickles the handle type.
         query_id = str(query_id)
         items = list(items)
+        self._check_limits(timeout, max_tuples, max_result_bytes)
+        if not items:
+            fut: Future = Future()
+            fut.set_result([])
+            return fut
+        with self._lock:
+            if query_id not in self._registry:
+                raise KeyError(f"unknown query id {query_id!r}")
+        return self._serve(
+            (query_id,), items, op, extra, timeout, max_tuples,
+            max_result_bytes, chunk_size,
+        )[query_id]
+
+    @staticmethod
+    def _check_limits(timeout, max_tuples, max_result_bytes) -> None:
         if timeout is not _UNSET and timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         if max_tuples is not _UNSET and max_tuples is not None and max_tuples < 1:
@@ -1593,25 +1631,77 @@ class SpannerService:
             raise ValueError(
                 f"max_result_bytes must be >= 1, got {max_result_bytes}"
             )
-        if not items:
-            fut: Future = Future()
-            fut.set_result([])
-            return fut
-        self.start()
+
+    def _serve(
+        self,
+        members: "tuple[str, ...]",
+        items: list[str],
+        op: str,
+        extra: int | None,
+        timeout,
+        max_tuples,
+        max_result_bytes,
+        chunk_size: int | None = None,
+    ) -> "dict[str, Future]":
+        """Admit, resolve and dispatch one batch for ``members``.
+
+        The one submission path: a solo query is a one-member batch
+        served by its own registered engine; several members share the
+        fused engine :meth:`_ensure_fused` registers.  Admission runs
+        once per member for the whole batch (consuming any half-open
+        probe), the deadline is the most restrictive member's, and the
+        result caps are resolved per member.  Returns ``{query_id:
+        Future}`` (see :func:`_combine`).
+        """
         with self._lock:
             if self._closing:
                 raise ServiceClosedError("SpannerService is closed")
-            if query_id not in self._registry:
-                raise KeyError(f"unknown query id {query_id!r}")
-            self._admit_locked(query_id)
+            for qid in members:
+                self._admit_locked(qid)
             deadline = timeout
             if deadline is _UNSET:
-                deadline = self._query_timeouts.get(query_id, _UNSET)
-            if deadline is _UNSET:
-                deadline = self.task_timeout
-            caps = self._resolve_caps_locked(
-                query_id, max_tuples, max_result_bytes
+                # A task serves every member, so the most restrictive
+                # member deadline bounds it.
+                finite = [
+                    d
+                    for d in (
+                        self._query_timeouts.get(qid, self.task_timeout)
+                        for qid in members
+                    )
+                    if d is not None
+                ]
+                deadline = min(finite) if finite else None
+            caps = tuple(
+                self._resolve_caps_locked(qid, max_tuples, max_result_bytes)
+                for qid in members
             )
+        if all(c is None for c in caps):
+            caps = None
+        engine_id = (
+            members[0] if len(members) == 1 else self._ensure_fused(members)
+        )
+        size = chunk_size or self.chunk_size
+        chunk_futures = [
+            self._dispatch_chunk(
+                engine_id, members, items[i : i + size], op, extra,
+                deadline, caps,
+            )
+            for i in range(0, len(items), size)
+        ]
+        return _combine(chunk_futures, members)
+
+    def _dispatch_chunk(
+        self,
+        engine_id: str,
+        members: "tuple[str, ...]",
+        items: list[str],
+        op: str,
+        extra: int | None,
+        deadline: float | None,
+        caps: "tuple | None",
+    ) -> Future:
+        """The dispatch tail: in-flight slot, transport, task, worker."""
+        self.start()
         bounded = self._inflight_slots is not None
         if bounded:
             self._acquire_slot()
@@ -1626,8 +1716,8 @@ class SpannerService:
                 self._release_wire(wire)
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
-                next(self._task_ids), query_id, op, wire, extra, bounded,
-                deadline, caps,
+                next(self._task_ids), engine_id, members, op, wire, extra,
+                bounded, deadline, caps,
             )
             self._tasks[task.task_id] = task
             self._dispatch_or_backlog(task)
@@ -1735,7 +1825,7 @@ class SpannerService:
         wire codec — ``self.encoding`` only governs how workers read
         *files*.
         """
-        if self._doc_transport is None or op in ("files", "fused_files"):
+        if self._doc_transport is None or op == "files":
             return items
         ref = self._doc_transport.pack(items)
         return items if ref is None else ref
@@ -1749,19 +1839,9 @@ class SpannerService:
     #: worker op each maps to.
     _SUBMIT_KINDS = {"docs": "evaluate", "files": "files", "counts": "count"}
 
-    @staticmethod
-    def _legacy_shim_warning(old: str, new: str) -> None:
-        warnings.warn(
-            f"{old} is deprecated; use {new} instead "
-            "(see the README migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
     def submit(
         self,
         work,
-        docs: "Iterable[str] | None" = None,
         *,
         queries=None,
         kind: str = "docs",
@@ -1783,7 +1863,7 @@ class SpannerService:
           :class:`~concurrent.futures.Future` resolving to one result
           per item, exactly the pre-redesign behavior;
         * a sequence of ids — returns ``{query_id: Future}``, served
-          fused (one document scan answers every member, demultiplexed
+          fused (one task per chunk answers every member, demultiplexed
           per query) whenever ``fuse`` is true, at least two members
           are admissible, and ``kind`` is not ``"counts"``; falls back
           to per-query sequential submission otherwise.  Per-query
@@ -1797,19 +1877,7 @@ class SpannerService:
         ``timeout`` overrides the per-task deadline for every chunk of
         this batch, ``max_tuples`` / ``max_result_bytes`` the
         per-document result caps.
-
-        The pre-redesign call form ``submit(query_id, docs, ...)`` (two
-        positionals) still works and emits a ``DeprecationWarning``.
         """
-        if docs is not None:
-            self._legacy_shim_warning(
-                "submit(query_id, docs, ...)",
-                "submit(docs, queries=query_id, ...)",
-            )
-            return self._submit_batch(
-                work, docs, "evaluate", limit, timeout,
-                max_tuples, max_result_bytes,
-            )
         if kind not in self._SUBMIT_KINDS:
             raise ValueError(
                 f"kind must be one of {tuple(self._SUBMIT_KINDS)}, "
@@ -1818,8 +1886,6 @@ class SpannerService:
         op = self._SUBMIT_KINDS[kind]
         extra = cap if kind == "counts" else limit
         if isinstance(queries, str):
-            if kind == "counts":
-                return self._submit_batch(queries, work, op, extra, timeout)
             return self._submit_batch(
                 queries, work, op, extra, timeout,
                 max_tuples, max_result_bytes,
@@ -1832,7 +1898,6 @@ class SpannerService:
     def submit_files(
         self,
         work,
-        paths: "Iterable[str] | None" = None,
         *,
         queries=None,
         limit: int | None = None,
@@ -1842,18 +1907,7 @@ class SpannerService:
         fuse: bool = True,
     ):
         """Like :meth:`submit` with ``kind="files"`` — workers read the
-        documents by path.  The pre-redesign form
-        ``submit_files(query_id, paths, ...)`` still works and emits a
-        ``DeprecationWarning``."""
-        if paths is not None:
-            self._legacy_shim_warning(
-                "submit_files(query_id, paths, ...)",
-                "submit_files(paths, queries=query_id, ...)",
-            )
-            return self._submit_batch(
-                work, paths, "files", limit, timeout,
-                max_tuples, max_result_bytes,
-            )
+        documents by path."""
         return self.submit(
             work, queries=queries, kind="files", limit=limit,
             timeout=timeout, max_tuples=max_tuples,
@@ -1863,7 +1917,6 @@ class SpannerService:
     def submit_counts(
         self,
         work,
-        docs: "Iterable[str] | None" = None,
         *,
         queries=None,
         cap: int | None = None,
@@ -1873,14 +1926,7 @@ class SpannerService:
 
         :meth:`submit` with ``kind="counts"`` — always sequential (a
         count is one integer per document; there is no fused count op).
-        The pre-redesign form ``submit_counts(query_id, docs, ...)``
-        still works and emits a ``DeprecationWarning``."""
-        if docs is not None:
-            self._legacy_shim_warning(
-                "submit_counts(query_id, docs, ...)",
-                "submit_counts(docs, queries=query_id, ...)",
-            )
-            return self._submit_batch(work, docs, "count", cap, timeout)
+        """
         return self.submit(work, queries=queries, kind="counts", cap=cap,
                            timeout=timeout)
 
@@ -1902,14 +1948,14 @@ class SpannerService:
         The multi-query face of :meth:`submit`: ``queries=None`` means
         every registered query.  With ``fuse=True`` (the default) and
         at least two admissible members, the fleet serves the batch
-        through one *fused* engine — a single leveled-NFA sweep per
-        document answers every member, results demultiplexed per query
-        in the exact order (and bytes) Q sequential submissions would
-        produce.  Members whose circuit breaker is open fail their own
-        future with :class:`~repro.errors.QueryQuarantinedError`
-        without blocking the rest; a fleet-level failure of a fused
-        task charges only the member the heartbeat indicts (or all
-        members when it died in the shared sweep phase).
+        through one *fused* engine — one task per chunk answers every
+        member, results demultiplexed per query in the exact order (and
+        bytes) Q sequential submissions would produce.  Members whose
+        circuit breaker is open fail their own future with
+        :class:`~repro.errors.QueryQuarantinedError` without blocking
+        the rest; a fleet-level failure of a fused task charges only
+        the member the heartbeat indicts (or all members when it died
+        in the task's shared phase).
         """
         return self._submit_all(
             work, queries, kind, limit, cap, timeout,
@@ -1965,55 +2011,20 @@ class SpannerService:
         if mode == "sequential":
             for qid in ordered:
                 try:
-                    if kind == "counts":
-                        out[qid] = self._submit_batch(
-                            qid, items, op, extra, timeout
-                        )
-                    else:
-                        out[qid] = self._submit_batch(
-                            qid, items, op, extra, timeout,
-                            max_tuples, max_result_bytes,
-                        )
+                    out[qid] = self._submit_batch(
+                        qid, items, op, extra, timeout,
+                        max_tuples, max_result_bytes,
+                    )
                 except QueryQuarantinedError as err:  # raced a breaker
                     refused = Future()
                     refused.set_exception(err)
                     out[qid] = refused
             return out
-        members = tuple(sorted(ordered))
-        with self._lock:
-            # Consume the members' half-open probes now: the fused
-            # batch IS the probe for any cooled-down breaker.
-            for qid in members:
-                self._admit_locked(qid)
-            if timeout is _UNSET:
-                # The fused task serves every member, so the most
-                # restrictive member deadline bounds it.
-                finite = [
-                    d
-                    for d in (
-                        self._query_timeouts.get(qid, self.task_timeout)
-                        for qid in members
-                    )
-                    if d is not None
-                ]
-                deadline = min(finite) if finite else None
-            else:
-                deadline = timeout
-            caps = tuple(
-                self._resolve_caps_locked(qid, max_tuples, max_result_bytes)
-                for qid in members
-            )
-            member_caps = None if all(c is None for c in caps) else caps
-        fused_qid = self._ensure_fused(members)
-        fused_op = "fused" if kind == "docs" else "fused_files"
-        chunk_futures = [
-            self._submit_fused_chunk(
-                fused_qid, members, items[i : i + self.chunk_size],
-                fused_op, extra, deadline, member_caps,
-            )
-            for i in range(0, len(items), self.chunk_size)
-        ]
-        out.update(_combine_fused(chunk_futures, members))
+        self._check_limits(timeout, max_tuples, max_result_bytes)
+        out.update(self._serve(
+            tuple(sorted(ordered)), items, op, extra, timeout,
+            max_tuples, max_result_bytes,
+        ))
         return out
 
     def _quarantine_error_locked(
@@ -2098,65 +2109,6 @@ class SpannerService:
             self._registry.setdefault(fused_qid, payload)
         return fused_qid
 
-    def _submit_fused_chunk(
-        self,
-        fused_qid: str,
-        members: "tuple[str, ...]",
-        items: "Sequence[str]",
-        op: str,
-        extra: int | None,
-        deadline: float | None,
-        caps: "tuple | None",
-    ) -> Future:
-        """Dispatch one fused chunk (admission already done per member).
-
-        The tail of :meth:`submit_chunk` without the per-query
-        admission/resolution steps — those ran per *member* in
-        :meth:`_submit_all`; the fused pseudo-id itself has no breaker,
-        no per-query caps and no manifest entry.
-        """
-        items = list(items)
-        self.start()
-        bounded = self._inflight_slots is not None
-        if bounded:
-            self._acquire_slot()
-        wire = self._pack(items, op)
-        with self._lock:
-            if self._closing:
-                if bounded:
-                    self._inflight_slots.release()
-                self._release_wire(wire)
-                raise ServiceClosedError("SpannerService is closed")
-            task = _Task(
-                next(self._task_ids), fused_qid, op, wire, extra, bounded,
-                deadline, caps, members=members,
-            )
-            self._tasks[task.task_id] = task
-            self._dispatch_or_backlog(task)
-        if self._backend.inline:
-            self._drain_inline()
-        return task.future
-
-    def _submit_batch(
-        self,
-        query_id: str,
-        items: Iterable[str],
-        op: str,
-        extra: int | None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
-        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-    ) -> Future:
-        items = list(items)
-        chunk_futures = [
-            self.submit_chunk(query_id, items[i : i + self.chunk_size],
-                              op=op, extra=extra, timeout=timeout,
-                              max_tuples=max_tuples,
-                              max_result_bytes=max_result_bytes)
-            for i in range(0, len(items), self.chunk_size)
-        ]
-        return _combine(chunk_futures)
-
     # -- Asyncio front-end --------------------------------------------------
     async def extract(
         self,
@@ -2180,7 +2132,9 @@ class SpannerService:
         """
         docs = list(docs)
         future = await asyncio.to_thread(
-            self.submit, query_id, docs, limit=limit, timeout=timeout
+            lambda: self.submit(
+                docs, queries=query_id, limit=limit, timeout=timeout
+            )
         )
         return await asyncio.wrap_future(future)
 
@@ -2195,7 +2149,10 @@ class SpannerService:
         """``await``-able :meth:`submit_files`."""
         paths = list(paths)
         future = await asyncio.to_thread(
-            self.submit_files, query_id, paths, limit=limit, timeout=timeout
+            lambda: self.submit(
+                paths, queries=query_id, kind="files", limit=limit,
+                timeout=timeout,
+            )
         )
         return await asyncio.wrap_future(future)
 
@@ -2423,27 +2380,21 @@ class SpannerService:
             # from.
             os.kill(os.getpid(), signal.SIGKILL)
         if kind == "done":
-            # Only clean completions reset the breaker: ordinary task
-            # exceptions say nothing fleet-level either way.
             self._truncated_docs += truncated
-            if task.members is not None:
-                # Fused: per-member outcomes arrived in one payload —
-                # success clears a member's breaker exactly as a solo
-                # completion would, while a member-scoped ordinary
-                # exception (an "err" slot) charges nothing, matching
-                # the solo "fail" path.
-                for m, qid in enumerate(task.members):
-                    if payload[m][0] == "ok":
-                        self._record_success_locked(qid)
-            else:
-                self._record_success_locked(task.query_id)
+            # Per-member outcomes: only a clean completion resets a
+            # member's breaker.  An "err" slot is an ordinary member
+            # exception — it fails that member's future and NEVER
+            # charges the breaker, ResultLimitError included (it
+            # indicts the input's output volume, not the fleet).
+            for qid, slot in zip(task.members, payload):
+                if slot[0] == "ok":
+                    self._record_success_locked(qid)
+                elif isinstance(slot[1], ResultLimitError):
+                    self._result_limited += 1
             resolutions.append((task, None, payload))
         else:
-            # Ordinary worker exception: fails exactly this future,
-            # NEVER charges the breaker — including ResultLimitError,
-            # which indicts the input's output volume, not the fleet.
-            if isinstance(payload, ResultLimitError):
-                self._result_limited += 1
+            # Ordinary task-level exception (unreadable file, missing
+            # artifact): fails every member, charges no breaker.
             resolutions.append((task, payload, None))
 
     def _check_deadlines(self, resolutions) -> None:
@@ -2487,16 +2438,16 @@ class SpannerService:
             task.done = True
             task.worker = None
             self._timed_out += 1
-            if task.members is not None and 0 <= hb_member < len(task.members):
-                # The heartbeat names the fused member being served
-                # when the deadline hit: only that member's breaker is
-                # charged (a hang in the shared sweep stays -1 and
-                # charges every member).
+            if 0 <= hb_member < len(task.members):
+                # The heartbeat names the member being served when the
+                # deadline hit: only that member's breaker is charged
+                # (a hang in the shared phase stays -1 and charges
+                # every member).
                 task.indicted = task.members[hb_member]
             self._charge_failure_locked(task)
             indicted = (
                 f" while serving member {task.indicted!r}"
-                if task.indicted is not None
+                if task.indicted not in (None, task.query_id)
                 else ""
             )
             resolutions.append(
@@ -2576,11 +2527,7 @@ class SpannerService:
             if task.done:
                 continue
             task.worker = None
-            if (
-                task.members is not None
-                and task.task_id == hb_task
-                and 0 <= hb_member < len(task.members)
-            ):
+            if task.task_id == hb_task and 0 <= hb_member < len(task.members):
                 # The worker died mid-member: remember whom to indict
                 # if the retry budget runs out.  (Prefetched orphans
                 # never ran, so they stay unattributed.)
@@ -2622,20 +2569,16 @@ class SpannerService:
     def _charge_failure_locked(self, task: _Task) -> None:
         """Charge a fleet-level failure to the right breaker(s).
 
-        Solo tasks charge their query.  Fused tasks charge the member
-        the heartbeat indicted (the one being enumerated when the
-        worker was killed or died) — the other members were innocent
-        bystanders sharing the scan; an unattributed failure (shared
-        sweep phase, or a worker that never stamped) charges every
-        member, since each of them asked for that pass.
+        The member the heartbeat indicted (the one being enumerated
+        when the worker was killed or died) is charged alone — the
+        other members were innocent bystanders sharing the task; an
+        unattributed failure (shared phase, or a worker that never
+        stamped) charges every member, since each of them asked for
+        that task.
         """
-        if task.members is None:
-            self._record_failure_locked(task.query_id)
-        elif task.indicted is not None:
-            self._record_failure_locked(task.indicted)
-        else:
-            for qid in task.members:
-                self._record_failure_locked(qid)
+        indicted = task.indicted
+        for qid in task.members if indicted is None else (indicted,):
+            self._record_failure_locked(qid)
 
     def _record_failure_locked(self, query_id: str) -> None:
         """A fleet-level failure: deadline kill, lost workers, or
@@ -2738,51 +2681,15 @@ class SpannerService:
 _CANCELLED = CancelledError()
 
 
-def _combine(chunk_futures: list[Future]) -> Future:
-    """One future over many chunk futures, results concatenated in order."""
-    aggregate: Future = Future()
-    if not chunk_futures:
-        aggregate.set_result([])
-        return aggregate
-    remaining = [len(chunk_futures)]
-    remaining_lock = threading.Lock()
-
-    def on_done(_f: Future) -> None:
-        with remaining_lock:
-            remaining[0] -= 1
-            if remaining[0]:
-                return
-        out: list = []
-        try:
-            for chunk in chunk_futures:
-                out.extend(chunk.result())
-        except BaseException as err:
-            if not aggregate.cancelled():
-                try:
-                    aggregate.set_exception(err)
-                except InvalidStateError:
-                    pass
-            return
-        if not aggregate.cancelled():
-            try:
-                aggregate.set_result(out)
-            except InvalidStateError:
-                pass
-
-    for chunk in chunk_futures:
-        chunk.add_done_callback(on_done)
-    return aggregate
-
-
-def _combine_fused(
+def _combine(
     chunk_futures: "list[Future]", members: "tuple[str, ...]"
 ) -> "dict[str, Future]":
-    """Demultiplex fused chunk results into one future per member.
+    """Demultiplex chunk results into one future per member.
 
     Each chunk future resolves to one entry per member — ``("ok",
     per_doc_lists, truncated)`` or ``("err", exc)``.  A member's future
     concatenates its ``ok`` slices across chunks in submission order
-    (byte-identical to the member's sequential batch); the first
+    (byte-identical to the serial ``evaluate_many``); the first
     member-scoped ``err`` in chunk order fails that member's future
     alone, and a chunk-level failure (deadline, lost workers, shed,
     close) fails every member's future with that exception — exactly

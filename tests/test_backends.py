@@ -14,10 +14,15 @@ the outside:
   tuple lost and none duplicated**;
 * backend selection: ``"auto"`` resolution, the resolved name in
   ``health()`` and the manifest, and restore onto the recorded
-  substrate (with override).
+  substrate (with override);
+* the driver's heartbeat read never blocks and never returns a torn
+  quadruple, even when the worker was SIGKILLed mid-stamp.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import pytest
 
@@ -34,6 +39,8 @@ from repro.runtime.backends import (
     ThreadBackend,
     resolve_backend,
 )
+from repro.runtime.backends.base import new_heartbeat, stamp_heartbeat
+from repro.runtime.backends.process import ProcessWorkerHandle
 
 from test_service import BACKENDS, DOCS, WORD_FORMULA, canonical
 
@@ -212,3 +219,57 @@ class TestManifestBackend:
             assert overridden.backend == "thread"
         finally:
             overridden.close()
+
+
+class _StallingValue:
+    """A heartbeat value whose conversion signals, then never returns."""
+
+    def __init__(self, started):
+        self.started = started
+
+    def __float__(self):
+        self.started.set()
+        time.sleep(3600)
+        return 0.0
+
+
+def _stamp_and_stall(heartbeat, started):
+    # The task id lands, then the stamp stalls before the timestamp is
+    # written: the writer dies mid-stamp once the test SIGKILLs it.
+    stamp_heartbeat(heartbeat, 7.0, _StallingValue(started), 1.0, 0.0)
+
+
+class TestHeartbeatRead:
+    def test_killed_mid_stamp_never_blocks_or_tears(self):
+        ctx = multiprocessing.get_context("fork")
+        heartbeat = ctx.Array("d", new_heartbeat(), lock=False)
+        stamp_heartbeat(heartbeat, -1.0, 123.0, 4096.0, -1.0)
+        started = ctx.Event()
+        writer = ctx.Process(
+            target=_stamp_and_stall, args=(heartbeat, started), daemon=True
+        )
+        writer.start()
+        try:
+            assert started.wait(30), "writer never reached the stall"
+            writer.kill()
+            writer.join(10)
+            handle = ProcessWorkerHandle(0, writer, None, heartbeat, None)
+            began = time.monotonic()
+            reading = handle.read_heartbeat()
+            assert time.monotonic() - began < 1.0
+        finally:
+            if writer.is_alive():
+                writer.kill()
+            writer.join(10)
+        # The half-written (task 7, old stamp) pair is never reported:
+        # nothing consistent was ever read, so the idle default is.
+        assert reading == (-1, 0.0, 0.0, -1)
+
+    def test_last_consistent_snapshot_survives_a_torn_stamp(self):
+        handle = ProcessWorkerHandle(0, None, None, new_heartbeat(), None)
+        stamp_heartbeat(handle.heartbeat, 3.0, 50.0, 8192.0, 1.0)
+        assert handle.read_heartbeat() == (3, 50.0, 8192.0, 1)
+        # A writer that died after opening its next stamp: seq stays odd.
+        handle.heartbeat[0] += 1.0
+        handle.heartbeat[1] = 9.0
+        assert handle.read_heartbeat() == (3, 50.0, 8192.0, 1)

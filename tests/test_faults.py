@@ -152,7 +152,7 @@ class TestCrashInjection:
             workers=2, chunk_size=2, fault_plan=plan, backend=backend
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.workers_crashed >= 1
             assert svc.tasks_retried >= 1
@@ -189,7 +189,7 @@ class TestCrashInjection:
             workers=2, chunk_size=2, fault_plan=plan, backend=backend
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.workers_crashed >= 3
 
@@ -218,7 +218,7 @@ class TestHangsAndDeadlines:
             assert time.monotonic() - start <= 2 * DEADLINE
             assert svc.tasks_timed_out == 1
             # The fleet healed: a full batch still matches serial.
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             health = svc.health()
             assert health["counters"]["workers_killed_on_timeout"] == 1
@@ -303,7 +303,7 @@ class TestSlowAndTransient:
             workers=2, chunk_size=2, fault_plan=plan, task_timeout=5.0
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.tasks_timed_out == 0
 
@@ -313,7 +313,7 @@ class TestSlowAndTransient:
         plan = FaultPlan().shm_fault(task=0, attempts=(1, 2))
         with SpannerService(workers=2, chunk_size=2, fault_plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.tasks_retried == 2
             assert svc.workers_crashed == 0  # no process was lost
@@ -394,7 +394,7 @@ class TestQuarantine:
                 list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[:2]))
             )
             assert svc.quarantined_queries == ()
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
 
     def test_failed_probe_rearms_the_cooldown(self):
@@ -433,7 +433,7 @@ class TestQuarantine:
             with pytest.raises(QueryQuarantinedError):
                 svc.submit_chunk(bad, DOCS[:2])
             # Tasks 1+ have no faults planned: "good" serves normally.
-            out = svc.submit(good, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=good).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.quarantined_queries == ("bad",)
 
@@ -493,7 +493,7 @@ class TestOverloadPolicies:
             workers=2, chunk_size=2, max_in_flight=2, on_overload="block"
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            assert svc.submit(qid, DOCS).result(timeout=120) == word_serial
+            assert svc.submit(DOCS, queries=qid).result(timeout=120) == word_serial
             assert svc.tasks_shed == 0
 
 
@@ -577,7 +577,7 @@ class TestShmBudgetDegradation:
             workers=2, chunk_size=2, transport="shm", fault_plan=plan
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             resources = svc.health()["resources"]
             assert resources["degraded_to_pipe"] == 2
@@ -677,7 +677,7 @@ class TestResultCaps:
             )
             assert full == [serial]
             # Counting is a fixed-size answer: never capped.
-            counts = svc.submit_counts(qid, [doc]).result(timeout=120)
+            counts = svc.submit_counts([doc], queries=qid).result(timeout=120)
             assert counts == [4]
 
     def test_byte_cap_and_per_call_override(self):
@@ -732,7 +732,7 @@ class TestMemoryWatchdog:
             fault_plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert _poll(lambda: svc.workers_recycled_on_memory >= 1)
             health = svc.health()
@@ -746,7 +746,7 @@ class TestMemoryWatchdog:
                 ) == 2
             )
             # The fleet still serves correctly after the recycle.
-            again = svc.submit(qid, DOCS[:4]).result(timeout=120)
+            again = svc.submit(DOCS[:4], queries=qid).result(timeout=120)
             assert canonical(again) == canonical(word_serial[:4])
 
     def test_hard_limit_kills_past_the_soft_limit(self, word_serial):
@@ -762,7 +762,7 @@ class TestMemoryWatchdog:
             fault_plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert _poll(
                 lambda: svc.health()["counters"]["workers_killed_on_memory"]
@@ -792,7 +792,7 @@ class TestAdmissionControl:
             assert svc.queries_rejected == 1
             assert svc.workers_crashed == 0
             qid = svc.register(self.SMALL_FORMULA)
-            out = svc.submit(qid, DOCS[:4]).result(timeout=120)
+            out = svc.submit(DOCS[:4], queries=qid).result(timeout=120)
             serial = list(
                 CompiledSpanner(self.SMALL_FORMULA).evaluate_many(DOCS[:4])
             )
@@ -831,6 +831,6 @@ class TestAdmissionControl:
             workers=2, chunk_size=2, compile_timeout=30.0, fault_plan=plan
         ) as svc:
             qid = svc.register(WORD_FORMULA)
-            out = svc.submit(qid, DOCS).result(timeout=120)
+            out = svc.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
             assert svc.queries_rejected == 0

@@ -1,8 +1,8 @@
-"""One-pass multi-query fusion (``submit_all`` / ``extract_all``).
+"""Multi-query fusion (``submit_all`` / ``extract_all``).
 
-The contract under test: a fused batch — one leveled-NFA sweep per
-document answering every member query — is **observably identical** to
-Q sequential submissions:
+The contract under test: a fused batch — one task per chunk answering
+every member query — is **observably identical** to Q sequential
+submissions:
 
 * per-query tuple streams byte-identical (content *and* order) to the
   serial engine and to ``fuse=False`` sequential serving, across the
@@ -10,9 +10,8 @@ Q sequential submissions:
 * faults inside a fused task indict only the member whose phase was
   running: the offending query's breaker opens, the innocent members'
   breakers stay closed and keep serving;
-* the pre-redesign call forms (``submit(query_id, docs)``,
-  ``submit_files(query_id, paths)``, ``submit_counts(query_id, docs)``)
-  keep working byte-identically while emitting ``DeprecationWarning``;
+* a solo submission is the one-member case of the same path: result
+  limits count the same, and the ``extract`` front-end warns nothing;
 * ``register()`` returns a :class:`QueryHandle` usable anywhere a
   query id string is.
 """
@@ -21,10 +20,15 @@ from __future__ import annotations
 
 import asyncio
 import time
+import warnings
 
 import pytest
 
-from repro.errors import QueryQuarantinedError, TaskTimeoutError
+from repro.errors import (
+    QueryQuarantinedError,
+    ResultLimitError,
+    TaskTimeoutError,
+)
 from repro.runtime import (
     CompiledSpanner,
     FaultPlan,
@@ -53,7 +57,7 @@ from test_service import (
 DEADLINE = 0.5
 
 #: A third regex query with a different shape (wildcard-heavy), so the
-#: mixed-cohort tests cover sweep-static and sweep-dynamic members.
+#: mixed-cohort tests cover static- and wildcard-alphabet members.
 UPPER_FORMULA = ".*u{[A-Z]+}.*"
 
 
@@ -232,9 +236,8 @@ class TestFusedParity:
 # ParallelSpanner routes through the shared decision point
 # ---------------------------------------------------------------------------
 class TestParallelSpannerFuseKnob:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_single_query_session_unchanged(self, fuse, word_serial):
-        with ParallelSpanner(WORD_FORMULA, workers=2, fuse=fuse) as engine:
+    def test_single_query_session_unchanged(self, word_serial):
+        with ParallelSpanner(WORD_FORMULA, workers=2) as engine:
             out = list(engine.evaluate_many(DOCS))
         assert canonical(out) == canonical(word_serial)
 
@@ -365,16 +368,13 @@ class TestUnifiedSubmitAPI:
             assert handle.max_tuples == 7
             assert handle.max_result_bytes is None
 
-    def test_legacy_submit_warns_and_matches(self, word_serial):
-        with SpannerService(workers=1, chunk_size=8) as svc:
+    def test_two_positional_submit_is_gone(self):
+        with SpannerService(workers=1) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit"):
-                legacy = svc.submit(qid, DOCS).result(timeout=120)
-            modern = svc.submit(DOCS, queries=qid).result(timeout=120)
-            assert canonical(legacy) == canonical(modern)
-            assert canonical(modern) == canonical(word_serial)
+            with pytest.raises(TypeError):
+                svc.submit(qid, DOCS)
 
-    def test_legacy_submit_files_warns_and_matches(
+    def test_extract_and_extract_files_warn_nothing(
         self, tmp_path, word_serial
     ):
         paths = []
@@ -382,23 +382,41 @@ class TestUnifiedSubmitAPI:
             p = tmp_path / f"doc{i}.txt"
             p.write_text(doc)
             paths.append(str(p))
-        with SpannerService(workers=1, chunk_size=8) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit_files"):
-                legacy = svc.submit_files(qid, paths).result(timeout=120)
-            modern = svc.submit_files(paths, queries=qid).result(timeout=120)
-            assert canonical(legacy) == canonical(modern)
-            assert canonical(modern) == canonical(word_serial)
 
-    def test_legacy_submit_counts_warns_and_matches(self):
-        with SpannerService(workers=1, chunk_size=8) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.warns(DeprecationWarning, match="submit_counts"):
-                legacy = svc.submit_counts(qid, DOCS).result(timeout=120)
-            modern = svc.submit_counts(DOCS, queries=qid).result(timeout=120)
-            assert legacy == modern
-            serial = CompiledSpanner(WORD_FORMULA)
-            assert modern == list(serial.count_many(DOCS))
+        async def scenario():
+            with SpannerService(workers=1, chunk_size=8) as svc:
+                qid = svc.register(CompiledSpanner(WORD_FORMULA))
+                return (
+                    await svc.extract(qid, DOCS),
+                    await svc.extract_files(qid, paths),
+                )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from_docs, from_files = asyncio.run(scenario())
+        assert canonical(from_docs) == canonical(word_serial)
+        assert canonical(from_files) == canonical(word_serial)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_result_limited_counts_solo_and_fused(self, fused):
+        """A query failing its result cap counts once per task, whether
+        it ran alone or as a member of a fused task."""
+        with SpannerService(
+            workers=1, chunk_size=len(DOCS), max_tuples=1,
+            on_result_limit="error",
+        ) as svc:
+            q_word = svc.register(CompiledSpanner(WORD_FORMULA))
+            # At most one tuple per document: never crosses the cap.
+            q_quiet = svc.register(CompiledSpanner("s{say}.*"))
+            if fused:
+                out = svc.submit_all(DOCS, queries=[q_word, q_quiet])
+                assert out[q_quiet].result(timeout=120)[0] != []
+                future = out[q_word]
+            else:
+                future = svc.submit(DOCS, queries=q_word)
+            with pytest.raises(ResultLimitError):
+                future.result(timeout=120)
+            assert svc.tasks_result_limited == 1
 
     def test_counts_never_fuse(self):
         with SpannerService(workers=1, chunk_size=8) as svc:

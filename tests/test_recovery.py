@@ -59,7 +59,7 @@ class TestWarmStart:
             workers=2, chunk_size=3, artifact_store=FileStore(root)
         ) as cold:
             q_cold = cold.register(WORD_FORMULA)
-            out_cold = cold.submit(q_cold, DOCS).result()
+            out_cold = cold.submit(DOCS, queries=q_cold).result()
             stats = cold.artifact_store.stats()
             assert stats["misses"] == 1 and stats["puts"] == 1
 
@@ -72,7 +72,7 @@ class TestWarmStart:
             assert q_warm == q_cold  # payload bytes identical -> same id
             stats = store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
-            out_warm = warm.submit(q_warm, DOCS).result()
+            out_warm = warm.submit(DOCS, queries=q_warm).result()
         assert canonical(out_warm) == canonical(out_cold)
         assert out_warm == word_serial
 
@@ -118,7 +118,7 @@ class TestWarmStart:
             assert q_warm == q_cold
             stats = store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
-            assert warm.submit(q_warm, DOCS).result() == word_serial
+            assert warm.submit(DOCS, queries=q_warm).result() == word_serial
 
     def test_store_surfaces_in_health(self, tmp_path):
         with SpannerService(
@@ -152,7 +152,7 @@ class TestCorruptionRecovery:
             fault_plan=plan,
         ) as sick:
             qid = sick.register(WORD_FORMULA)  # put lands damaged
-            out = sick.submit(qid, DOCS).result()
+            out = sick.submit(DOCS, queries=qid).result()
             assert out == word_serial  # registration itself never relied on it
 
         # Next generation reads the damaged entry: quarantine + clean
@@ -165,7 +165,7 @@ class TestCorruptionRecovery:
             assert stats["corrupt_quarantined"] == 1
             assert stats["puts"] == 1  # the recompiled artifact re-landed
             assert store.quarantined()  # the corpse is kept for forensics
-            assert s.submit(q2, DOCS).result() == word_serial
+            assert s.submit(DOCS, queries=q2).result() == word_serial
 
         # And a third generation is fully healthy again.
         store3 = FileStore(root)
@@ -185,7 +185,7 @@ class TestRestore:
             workers=2, chunk_size=3, manifest_path=manifest
         )
         qid = service.register(WORD_FORMULA, max_tuples=10_000)
-        out1 = service.submit(qid, DOCS).result()
+        out1 = service.submit(DOCS, queries=qid).result()
         service.close()
 
         restored = SpannerService.restore(manifest)
@@ -196,7 +196,7 @@ class TestRestore:
             assert restored.workers == 2 and restored.chunk_size == 3
             # The per-query override came back through the manifest.
             assert restored._query_caps[qid][0] == 10_000
-            out2 = restored.submit(qid, DOCS).result()
+            out2 = restored.submit(DOCS, queries=qid).result()
         finally:
             restored.close()
         assert canonical(out2) == canonical(out1)
@@ -230,7 +230,7 @@ class TestRestore:
             # No warm hit was possible; exactly one recompile re-landed.
             assert stats["hits"] == 0 and stats["puts"] == 1
             assert restored.queries == (qid,)
-            assert restored.submit(qid, DOCS).result() == word_serial
+            assert restored.submit(DOCS, queries=qid).result() == word_serial
         finally:
             restored.close()
 
@@ -276,10 +276,10 @@ class TestRestore:
         try:
             assert qid in restored.quarantined_queries
             with pytest.raises(QueryQuarantinedError):
-                restored.submit(qid, DOCS[:2])
+                restored.submit(DOCS[:2], queries=qid)
             # The operator escape hatch still works after a restore.
             assert restored.reinstate(qid) is True
-            assert restored.submit(qid, DOCS[:2]).result() == list(
+            assert restored.submit(DOCS[:2], queries=qid).result() == list(
                 CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[:2])
             )
         finally:
@@ -336,13 +336,13 @@ class TestRestore:
         manifest = tmp_path / "fleet.json"
         service = SpannerService(workers=2, manifest_path=manifest)
         qid = service.register(engine, query_id="eq")
-        out1 = service.submit(qid, docs).result()
+        out1 = service.submit(docs, queries=qid).result()
         service.close()
 
         restored = SpannerService.restore(manifest)
         try:
             assert restored.artifact_store.stats()["hits"] == 1
-            out2 = restored.submit(qid, docs).result()
+            out2 = restored.submit(docs, queries=qid).result()
         finally:
             restored.close()
         assert canonical(out2) == canonical(out1)
@@ -431,7 +431,7 @@ class TestDriverKill:
             assert stats["hits"] == 1 and stats["puts"] == 0
             # ...and the restored fleet serves byte-identical results.
             docs = ["say hi ho " + "x" * 256] * 8
-            out2 = restored.submit("words", docs).result()
+            out2 = restored.submit(docs, queries="words").result()
             expected = list(
                 CompiledSpanner(WORD_FORMULA).evaluate_many(docs)
             )

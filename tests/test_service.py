@@ -93,9 +93,9 @@ class TestFleetMatchesSerial:
             q_eq = service.register(eq_engine)
             # All three dispatched before any result is consumed: the
             # queries genuinely share the same workers.
-            f_word = service.submit(q_word, DOCS)
-            f_digit = service.submit(q_digit, DOCS)
-            f_eq = service.submit(q_eq, eq_docs)
+            f_word = service.submit(DOCS, queries=q_word)
+            f_digit = service.submit(DOCS, queries=q_digit)
+            f_eq = service.submit(eq_docs, queries=q_eq)
             assert canonical(f_word.result()) == canonical(word_serial)
             assert canonical(f_digit.result()) == canonical(digit_serial)
             assert canonical(f_eq.result()) == canonical(eq_serial)
@@ -112,7 +112,7 @@ class TestFleetMatchesSerial:
             transport=transport,
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            out = service.submit(qid, DOCS).result()
+            out = service.submit(DOCS, queries=qid).result()
             assert canonical(out) == canonical(word_serial)
             assert service.workers_recycled > 0
         if transport == "shm":
@@ -126,7 +126,7 @@ class TestFleetMatchesSerial:
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             for _ in range(2):
-                assert service.submit(qid, DOCS).result() == word_serial
+                assert service.submit(DOCS, queries=qid).result() == word_serial
             assert service.workers_recycled >= 32
             deadline = time.time() + 5
             while time.time() < deadline:
@@ -148,9 +148,9 @@ class TestFleetMatchesSerial:
                 service.register(eq_engine),
             ]
             futs = [
-                service.submit(ids[0], DOCS),
-                service.submit(ids[1], DOCS),
-                service.submit(ids[2], eq_docs),
+                service.submit(DOCS, queries=ids[0]),
+                service.submit(DOCS, queries=ids[1]),
+                service.submit(eq_docs, queries=ids[2]),
             ]
             assert [f.result() for f in futs] == [
                 word_serial, digit_serial, eq_serial
@@ -161,11 +161,11 @@ class TestFleetMatchesSerial:
     def test_counts_and_limit(self, word_serial, backend):
         with SpannerService(workers=2, chunk_size=3, backend=backend) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            capped = service.submit(qid, DOCS, limit=2).result()
+            capped = service.submit(DOCS, queries=qid, limit=2).result()
             assert capped == [per_doc[:2] for per_doc in word_serial]
-            counts = service.submit_counts(qid, DOCS).result()
+            counts = service.submit_counts(DOCS, queries=qid).result()
             assert counts == [len(per_doc) for per_doc in word_serial]
-            capped_counts = service.submit_counts(qid, DOCS, cap=3).result()
+            capped_counts = service.submit_counts(DOCS, queries=qid, cap=3).result()
             assert capped_counts == [min(c, 3) for c in counts]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -177,13 +177,13 @@ class TestFleetMatchesSerial:
             paths.append(str(path))
         with SpannerService(workers=2, chunk_size=3, backend=backend) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            assert service.submit_files(qid, paths).result() == word_serial[:10]
+            assert service.submit_files(paths, queries=qid).result() == word_serial[:10]
             with pytest.raises(OSError):
                 service.submit_files(
-                    qid, paths + ["/nonexistent/x"]
+                    paths + ["/nonexistent/x"], queries=qid
                 ).result()
             # An unreadable file fails its batch; the fleet survives.
-            assert service.submit(qid, DOCS[:4]).result() == word_serial[:4]
+            assert service.submit(DOCS[:4], queries=qid).result() == word_serial[:4]
 
 
 class TestRegistration:
@@ -213,9 +213,9 @@ class TestRegistration:
     def test_late_registration_reaches_running_workers(self, digit_serial):
         with SpannerService(workers=2, chunk_size=3) as service:
             q1 = service.register(CompiledSpanner(WORD_FORMULA))
-            service.submit(q1, DOCS[:6]).result()  # fleet is warm
+            service.submit(DOCS[:6], queries=q1).result()  # fleet is warm
             q2 = service.register(CompiledSpanner(DIGIT_FORMULA))
-            assert service.submit(q2, DOCS).result() == digit_serial
+            assert service.submit(DOCS, queries=q2).result() == digit_serial
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ class TestFailurePaths:
         try:
             service.start()
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            future = service.submit(qid, DOCS)
+            future = service.submit(DOCS, queries=qid)
             victim = service._workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             assert canonical(future.result(timeout=120)) == canonical(
@@ -252,7 +252,7 @@ class TestFailurePaths:
             )
             assert service.workers_crashed == 1
             # Replacement spawned: the fleet is whole and serviceable.
-            assert service.submit(qid, DOCS[:5]).result(
+            assert service.submit(DOCS[:5], queries=qid).result(
                 timeout=60
             ) == word_serial[:5]
         finally:
@@ -268,7 +268,7 @@ class TestFailurePaths:
             try:
                 service.start()
                 qid = service.register(CompiledSpanner(WORD_FORMULA))
-                future = service.submit(qid, DOCS)
+                future = service.submit(DOCS, queries=qid)
                 time.sleep(delay)
                 os.kill(service._workers[-1].process.pid, signal.SIGKILL)
                 assert future.result(timeout=120) == word_serial
@@ -280,7 +280,7 @@ class TestFailurePaths:
         service = SpannerService(workers=2, chunk_size=2)
         service.start()
         qid = service.register(CompiledSpanner(WORD_FORMULA))
-        futures = [service.submit(qid, DOCS) for _ in range(3)]
+        futures = [service.submit(DOCS, queries=qid) for _ in range(3)]
         service.close()  # drain-then-stop
         for future in futures:
             assert future.result(timeout=0) == word_serial
@@ -346,7 +346,7 @@ class TestHealth:
             assert idle["queries_registered"] == 1
             assert idle["quarantined_queries"] == {}
 
-            assert service.submit(qid, DOCS).result() == word_serial
+            assert service.submit(DOCS, queries=qid).result() == word_serial
             busy = service.health()
             counters = busy["counters"]
             assert counters["tasks_completed"] == len(DOCS) // 3 + 1
@@ -366,7 +366,7 @@ class TestHealth:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             idle = service.health()
             assert json.loads(json.dumps(idle)) == idle
-            assert service.submit(qid, DOCS).result() == word_serial
+            assert service.submit(DOCS, queries=qid).result() == word_serial
             busy = service.health()
             assert json.loads(json.dumps(busy)) == busy
             rss = busy["resources"]["worker_rss_bytes"]
@@ -377,7 +377,7 @@ class TestHealth:
         try:
             service.start()
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            future = service.submit(qid, DOCS)
+            future = service.submit(DOCS, queries=qid)
             os.kill(service._workers[0].process.pid, signal.SIGKILL)
             future.result(timeout=120)
             health = service.health()
@@ -409,7 +409,7 @@ class TestAsyncFrontend:
             with SpannerService(workers=2, chunk_size=4) as service:
                 qid = service.register(CompiledSpanner(WORD_FORMULA))
                 return await service.gather(
-                    service.submit(qid, DOCS[:4]),
+                    service.submit(DOCS[:4], queries=qid),
                     service.extract(qid, DOCS[4:8]),
                 )
 
@@ -476,8 +476,8 @@ class TestSharedMemoryTransport:
         ) as service:
             q_word = service.register(CompiledSpanner(WORD_FORMULA))
             q_digit = service.register(CompiledSpanner(DIGIT_FORMULA))
-            f_word = service.submit(q_word, DOCS)
-            f_digit = service.submit(q_digit, DOCS)
+            f_word = service.submit(DOCS, queries=q_word)
+            f_digit = service.submit(DOCS, queries=q_digit)
             assert canonical(f_word.result()) == canonical(word_serial)
             assert canonical(f_digit.result()) == canonical(digit_serial)
         assert not dev_shm_segments()
@@ -488,7 +488,7 @@ class TestSharedMemoryTransport:
         ) as service:
             assert service._doc_transport is None
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            assert canonical(service.submit(qid, DOCS).result()) == canonical(
+            assert canonical(service.submit(DOCS, queries=qid).result()) == canonical(
                 word_serial
             )
 
@@ -501,7 +501,7 @@ class TestSharedMemoryTransport:
         try:
             service.start()
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            future = service.submit(qid, DOCS)
+            future = service.submit(DOCS, queries=qid)
             os.kill(service._workers[0].process.pid, signal.SIGKILL)
             assert canonical(future.result(timeout=120)) == canonical(
                 word_serial
@@ -517,7 +517,7 @@ class TestSharedMemoryTransport:
             workers=2, chunk_size=2, transport="shm", max_tasks_per_worker=1
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            out = service.submit(qid, DOCS).result()
+            out = service.submit(DOCS, queries=qid).result()
             assert canonical(out) == canonical(word_serial)
             assert service.workers_recycled > 0
         assert not dev_shm_segments()
@@ -540,7 +540,7 @@ class TestSharedMemoryTransport:
             workers=2, chunk_size=3, transport="shm"
         ) as service:
             qid = service.register(eq_engine)
-            out = service.submit(qid, eq_docs).result()
+            out = service.submit(eq_docs, queries=qid).result()
             assert canonical(out) == canonical(eq_serial)
         assert not dev_shm_segments()
 
@@ -557,5 +557,5 @@ class TestBackpressure:
             workers=2, chunk_size=2, max_in_flight=2
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            assert service.submit(qid, DOCS).result() == word_serial
-            assert service.submit(qid, DOCS).result() == word_serial
+            assert service.submit(DOCS, queries=qid).result() == word_serial
+            assert service.submit(DOCS, queries=qid).result() == word_serial
