@@ -236,10 +236,21 @@ class TestFusedParity:
 # ParallelSpanner routes through the shared decision point
 # ---------------------------------------------------------------------------
 class TestParallelSpannerFuseKnob:
-    def test_single_query_session_unchanged(self, word_serial):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_single_query_session_unchanged(self, fuse, word_serial):
+        """A one-query session never fuses: ParallelSpanner and a
+        single-member ``submit_all`` give the serial stream whichever
+        way ``fuse`` is set."""
         with ParallelSpanner(WORD_FORMULA, workers=2) as engine:
             out = list(engine.evaluate_many(DOCS))
         assert canonical(out) == canonical(word_serial)
+        with SpannerService(workers=2, chunk_size=8) as svc:
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            got = svc.submit_all(DOCS, fuse=fuse)
+            assert list(got) == [str(qid)]
+            assert canonical(got[str(qid)].result(timeout=120)) == canonical(
+                word_serial
+            )
 
     def test_workers_one_serial_unchanged(self, word_serial):
         engine = ParallelSpanner(WORD_FORMULA, workers=1)
