@@ -75,6 +75,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Iterable
 
 from .errors import SpannerError
@@ -203,38 +204,32 @@ def _extract_prefix(
     return " ".join(parts) if parts else None
 
 
-def _fleet_opts(args: argparse.Namespace) -> dict:
-    """The fault-tolerance and resource knobs every fleet site shares.
+def _fleet_kwargs(args: argparse.Namespace) -> dict:
+    """The fleet knobs from ``args``, validated by ``FleetConfig``.
 
-    Validated here so a bad value prints ``error: ...`` (exit 2) like
-    every other CLI mistake instead of a constructor traceback.  A task
-    that then exceeds the deadline surfaces as
-    :class:`~repro.errors.TaskTimeoutError`, and one that exceeds a
-    result cap as :class:`~repro.errors.ResultLimitError` — both
-    ``SpannerError``s, so ``main()`` renders them the same way.
+    A knob's flag is its name with dashes (``--task-timeout`` for
+    ``task_timeout``); knobs without a flag keep their library
+    defaults.  A bad value prints ``error: --flag ...`` (exit 2) like every other
+    CLI mistake instead of a constructor traceback, whether or not the
+    run ends up on a fleet.  A task that then exceeds the deadline
+    surfaces as :class:`~repro.errors.TaskTimeoutError`, and one that
+    exceeds a result cap as :class:`~repro.errors.ResultLimitError` —
+    both ``SpannerError``s, so ``main()`` renders them the same way.
     """
-    if args.task_timeout is not None and args.task_timeout <= 0:
-        raise SpannerError(
-            f"--task-timeout must be > 0, got {args.task_timeout}"
-        )
-    for flag, value in (
-        ("--shm-budget", args.shm_budget),
-        ("--max-tuples", args.max_tuples),
-        ("--max-result-bytes", args.max_result_bytes),
-        ("--worker-memory-limit", args.worker_memory_limit),
-    ):
-        if value is not None and value < 1:
-            raise SpannerError(f"{flag} must be >= 1, got {value}")
-    return {
-        "task_timeout": args.task_timeout,
-        "on_overload": args.on_overload,
-        "shm_budget": args.shm_budget,
-        "max_tuples": args.max_tuples,
-        "max_result_bytes": args.max_result_bytes,
-        "on_result_limit": args.on_result_limit,
-        "worker_memory_limit": args.worker_memory_limit,
-        "artifact_store": _artifact_store(args),
+    from .runtime.config import FleetConfig
+
+    knobs = {
+        f.name: getattr(args, f.name)
+        for f in fields(FleetConfig)
+        if hasattr(args, f.name)
     }
+    try:
+        FleetConfig(**knobs)
+    except ValueError as err:
+        # FleetConfig's messages lead with the knob's name.
+        knob, _, rest = str(err).partition(" ")
+        raise SpannerError(f"--{knob.replace('_', '-')} {rest}") from None
+    return knobs
 
 
 def _artifact_store(args: argparse.Namespace):
@@ -252,25 +247,9 @@ def _artifact_store(args: argparse.Namespace):
         ) from err
 
 
-def _admission_opts(args: argparse.Namespace) -> dict:
-    """The register-time admission knobs (``SpannerService`` only —
-    ``ParallelSpanner`` compiles its one query eagerly at construction,
-    so there is no admission decision left to make there)."""
-    if args.max_compile_states is not None and args.max_compile_states < 1:
-        raise SpannerError(
-            f"--max-compile-states must be >= 1, got {args.max_compile_states}"
-        )
-    if args.compile_timeout is not None and args.compile_timeout <= 0:
-        raise SpannerError(
-            f"--compile-timeout must be > 0, got {args.compile_timeout}"
-        )
-    return {
-        "max_compile_states": args.max_compile_states,
-        "compile_timeout": args.compile_timeout,
-    }
-
-
-def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
+def _extract_fleet(
+    args: argparse.Namespace, formulas: list[str], fleet: dict
+) -> int:
     """Serve several formulas over one worker fleet (``--workers N``).
 
     Every formula is registered on one :class:`SpannerService`, so the
@@ -287,13 +266,7 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
     label_docs = len(args.file) > 1
     total = 0
     with SpannerService(
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        **_fleet_opts(args),
-        **_admission_opts(args),
+        artifact_store=_artifact_store(args), **fleet
     ) as service:
         # Register the raw formulas so admission control sees them
         # *before* compilation (the artifact — the compiled tables —
@@ -344,6 +317,7 @@ def _extract_fleet(args: argparse.Namespace, formulas: list[str]) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    fleet = _fleet_kwargs(args)
     formulas = args.formula
     label_queries = len(formulas) > 1
     total = 0
@@ -363,7 +337,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             # Several formulas — or an admission knob, which only
             # register() on a SpannerService enforces (ParallelSpanner
             # compiles eagerly, before any admission decision exists).
-            total = _extract_fleet(args, formulas)
+            total = _extract_fleet(args, formulas, fleet)
         else:
             # One query: keep the streaming single-query session (the
             # fleet-backed ParallelSpanner) — results render as each
@@ -376,13 +350,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             # fingerprint, so warm runs (and the multi-file fleet path,
             # which registers the same syntax) share one cache entry.
             engine = ParallelSpanner(
-                formulas[0],
-                workers=args.workers,
-                backend=args.backend,
-                transport=args.transport,
-                encoding=args.encoding,
-                errors=args.errors,
-                **_fleet_opts(args),
+                formulas[0], artifact_store=_artifact_store(args), **fleet
             )
             # Push --limit into the workers: a capped extraction must
             # stop enumerating at the cap there, as the serial path
@@ -431,7 +399,10 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _query_parallel(
-    args: argparse.Namespace, query: RegexCQ, docs: list[tuple[str, str]]
+    args: argparse.Namespace,
+    query: RegexCQ,
+    docs: list[tuple[str, str]],
+    fleet: dict,
 ) -> int:
     """Shard a query corpus across workers (compiled strategy).
 
@@ -457,13 +428,7 @@ def _query_parallel(
     # queries only need non-emptiness: one tuple decides the verdict.
     limit = 1 if query.is_boolean else None
     with ParallelSpanner(
-        engine,
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        **_fleet_opts(args),
+        engine, artifact_store=_artifact_store(args), **fleet
     ) as pool:
         streams = pool.evaluate_many(
             (text for _name, text in docs), limit=limit
@@ -569,6 +534,7 @@ def _query_fleet(
     args: argparse.Namespace,
     queries: list[RegexCQ],
     docs: list[tuple[str, str]],
+    fleet: dict,
 ) -> int:
     """Serve several CQs over one worker fleet (``--workers N``).
 
@@ -599,13 +565,7 @@ def _query_fleet(
     # all-Boolean batch can stop at the one tuple that decides it.
     limit = 1 if all(q.is_boolean for q in queries) else None
     with SpannerService(
-        workers=args.workers,
-        backend=args.backend,
-        transport=args.transport,
-        encoding=args.encoding,
-        errors=args.errors,
-        **_fleet_opts(args),
-        **_admission_opts(args),
+        artifact_store=_artifact_store(args), **fleet
     ) as service:
         query_ids = [service.register(engine) for engine in engines]
         futures = service.submit_all(
@@ -645,12 +605,13 @@ def _query_fleet(
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    fleet = _fleet_kwargs(args)
     queries = _grouped_queries(args)
     docs = _read_documents(args)
     if len(queries) > 1 and args.workers > 1:
-        return _query_fleet(args, queries, docs)
+        return _query_fleet(args, queries, docs, fleet)
     if len(queries) == 1 and args.workers > 1 and len(docs) > 1:
-        return _query_parallel(args, queries[0], docs)
+        return _query_parallel(args, queries[0], docs, fleet)
     return _query_serial(args, queries, docs)
 
 

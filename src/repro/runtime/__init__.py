@@ -20,6 +20,10 @@
   corpora packed into ref-counted ``multiprocessing.shared_memory``
   segments with explicit owner-unlinks (plus the ``mmap`` read path
   for huge file-backed documents);
+* :mod:`.config` — :class:`FleetConfig`, the one frozen declaration
+  (defaults, validation, documentation) of the fleet's plain-value
+  knobs, shared by :class:`SpannerService`, :class:`ParallelSpanner`,
+  the restart manifest and the CLI;
 * :mod:`.service` — :class:`SpannerService`, the long-lived queue-fed
   worker fleet serving *multiple* registered queries (keyed by query
   fingerprint into each worker's engine table) with worker recycling,
@@ -73,6 +77,7 @@ __all__ = [
     "estimate_compile_states",
     "CompiledEqualityQuery",
     "ParallelSpanner",
+    "FleetConfig",
     "SpannerService",
     "QueryHandle",
     "FusedQuery",
@@ -111,6 +116,10 @@ def __getattr__(name: str):
         from .parallel import ParallelSpanner
 
         return ParallelSpanner
+    if name == "FleetConfig":
+        from .config import FleetConfig
+
+        return FleetConfig
     if name in ("SpannerService", "QueryHandle"):
         from . import service
 

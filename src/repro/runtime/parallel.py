@@ -68,31 +68,22 @@ from __future__ import annotations
 import multiprocessing  # noqa: F401  (contract hook, see above)
 import os
 from collections import deque
+from dataclasses import asdict, replace
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..spans import SpanTuple
 from ..vset.automaton import VSetAutomaton
 from .compiled import CompiledSpanner
+from .config import FleetConfig
 from .equality import CompiledEqualityQuery
-from .backends.base import BACKEND_NAMES
-from .service import (
-    OVERLOAD_POLICIES,
-    RESULT_LIMIT_POLICIES,
-    SpannerService,
-)
-from .transport import DEFAULT_SHM_THRESHOLD, create_transport
+from .service import SpannerService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..regex.ast import RegexFormula
     from .store import ArtifactStore
 
 __all__ = ["ParallelSpanner"]
-
-#: Documents per dispatched task.  Small enough to keep workers evenly
-#: loaded on heterogeneous documents, large enough to amortize one
-#: round of task pickling over many documents.
-DEFAULT_CHUNK_SIZE = 16
 
 
 class ParallelSpanner:
@@ -104,55 +95,20 @@ class ParallelSpanner:
     equality engine shards exactly like an equality-free spanner, with
     its static tables shipped once per worker.
 
+    Every other plain-value keyword is a fleet knob for the underlying
+    :class:`SpannerService`, documented and validated by
+    :class:`~repro.runtime.config.FleetConfig` when the session is
+    built — before any fleet exists.  One rule is the session's own:
+    ``backend="auto"`` at ``workers=1`` selects the serial backend
+    (inline execution, no subprocesses).  A chunk past its deadline
+    raises :class:`~repro.errors.TaskTimeoutError` out of the consuming
+    iterator; the hung worker is replaced underneath, so the session
+    stays usable.
+
     Args:
-        workers: fleet size; defaults to the machine's CPU count.
-            ``workers=1`` with ``backend="auto"`` selects the serial
-            backend (inline execution, no subprocesses).
-        backend: the compute substrate under the session —
-            ``"auto"`` (serial at ``workers=1``, else threads on a
-            free-threaded interpreter, else processes), ``"serial"``,
-            ``"thread"`` or ``"process"``; see
-            :mod:`repro.runtime.backends`.
-        chunk_size: documents per dispatched task.
         max_pending: chunks in flight before dispatch blocks; bounds
             read-ahead on the input iterable and result memory.
             Defaults to ``2 * workers``.
-        mp_context: a :mod:`multiprocessing` start-method name
-            ("fork", "spawn", "forkserver") or ``None`` for the
-            platform default.
-        transport: how in-memory documents reach the workers —
-            ``"auto"`` (shared-memory segments above ``shm_threshold``
-            encoded bytes per chunk, the task pipe below), ``"shm"``
-            (forced) or ``"pipe"`` (forced); see
-            :mod:`repro.runtime.transport`.
-        shm_threshold: the ``"auto"`` negotiation bound, in bytes.
-        encoding / errors: codec for file-backed documents
-            (:meth:`evaluate_files`, serial and worker-side alike) and
-            for shared-memory chunk packing.
-        task_timeout: per-task execution deadline in seconds for the
-            underlying fleet (``None`` = no deadline).  A chunk past it
-            raises :class:`~repro.errors.TaskTimeoutError` out of the
-            consuming iterator; the hung worker is killed and replaced
-            underneath, so the session stays usable.  Not enforced on
-            the serial backend — there is no worker to kill.
-        on_overload: the fleet's load-shedding policy past its
-            in-flight bound (``"block"``, ``"shed_oldest"``,
-            ``"reject"``); see :class:`SpannerService`.  The session's
-            own ``max_pending`` backpressure usually fills first.
-        shm_budget: byte budget for the fleet's shared-memory segments;
-            chunks the budget cannot fit degrade to the task pipe
-            (results byte-identical); see :class:`SpannerService`.
-        max_tuples / max_result_bytes: per-*document* result caps,
-            enforced inside the workers; a capped document fails its
-            chunk with :class:`~repro.errors.ResultLimitError` (policy
-            ``"error"``) or contributes exactly the serial prefix
-            (policy ``"truncate"``) — on every backend, the serial one
-            included.
-        on_result_limit: ``"error"`` or ``"truncate"``; see
-            :class:`SpannerService`.
-        worker_memory_limit / worker_memory_hard_limit: RSS bounds for
-            the fleet's memory watchdog (drain-recycle / hard-kill);
-            see :class:`SpannerService`.
         artifact_store: an
             :class:`~repro.runtime.store.ArtifactStore` the underlying
             fleet consults before compiling at registration — sessions
@@ -168,25 +124,23 @@ class ParallelSpanner:
             "| RegexFormula | str"
         ),
         *,
-        workers: int | None = None,
-        backend: str = "auto",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         max_pending: int | None = None,
-        mp_context: str | None = None,
-        transport: str = "auto",
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-        encoding: str = "utf-8",
-        errors: str = "strict",
-        task_timeout: float | None = None,
-        on_overload: str = "block",
-        shm_budget: int | None = None,
-        max_tuples: int | None = None,
-        max_result_bytes: int | None = None,
-        on_result_limit: str = "error",
-        worker_memory_limit: int | None = None,
-        worker_memory_hard_limit: int | None = None,
         artifact_store: "ArtifactStore | None" = None,
+        **config,
     ):
+        config = FleetConfig(**config)
+        workers = config.workers or os.cpu_count() or 1
+        # A one-worker "fleet" gains nothing from processes or threads;
+        # "auto" resolves it to inline execution (the old serial
+        # fallback, now just another backend under the same session).
+        if config.backend == "auto" and workers == 1:
+            config = replace(config, backend="serial")
+        self.config = replace(config, workers=workers)
+        self.max_pending = (
+            max_pending if max_pending is not None else 2 * workers
+        )
+        if self.max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
         if not isinstance(spanner, (CompiledSpanner, CompiledEqualityQuery)):
             # Remember the compilable origin: the compiled artifact's
             # pickle bytes aren't stable across processes, so the store
@@ -197,86 +151,6 @@ class ParallelSpanner:
         else:
             self._source = None
         self.spanner = spanner
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
-            )
-        # A one-worker "fleet" gains nothing from processes or threads;
-        # "auto" resolves it to inline execution (the old serial
-        # fallback, now just another backend under the same session).
-        if backend == "auto" and self.workers == 1:
-            backend = "serial"
-        self.backend = backend
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        self.max_pending = (
-            max_pending if max_pending is not None else 2 * self.workers
-        )
-        if self.max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
-        self.mp_context = mp_context
-        # Validate the transport choice now, not at the first sharded
-        # call — the fleet itself spins up lazily.  create_transport
-        # performs exactly the checks the service will repeat (mode
-        # name, threshold, forced-shm availability); the probe owns no
-        # segments, so closing it is free.
-        probe = create_transport(
-            transport, shm_threshold=shm_threshold, shm_budget=shm_budget
-        )
-        if probe is not None:
-            probe.close()
-        self.transport = transport
-        self.shm_threshold = shm_threshold
-        self.shm_budget = shm_budget
-        self.encoding = encoding
-        self.errors = errors
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        self.task_timeout = task_timeout
-        # Validate now, like the transport probe above — the fleet
-        # itself spins up lazily, and a typo'd policy should not wait
-        # for the first sharded call to surface.
-        if on_overload not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"on_overload must be one of {OVERLOAD_POLICIES}, "
-                f"got {on_overload!r}"
-            )
-        self.on_overload = on_overload
-        if max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        self.max_tuples = max_tuples
-        if max_result_bytes is not None and max_result_bytes < 1:
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
-        self.max_result_bytes = max_result_bytes
-        if on_result_limit not in RESULT_LIMIT_POLICIES:
-            raise ValueError(
-                f"on_result_limit must be one of {RESULT_LIMIT_POLICIES}, "
-                f"got {on_result_limit!r}"
-            )
-        self.on_result_limit = on_result_limit
-        if worker_memory_limit is not None and worker_memory_limit < 1:
-            raise ValueError(
-                f"worker_memory_limit must be >= 1, got {worker_memory_limit}"
-            )
-        self.worker_memory_limit = worker_memory_limit
-        if worker_memory_hard_limit is not None and (
-            worker_memory_hard_limit < 1
-            or (
-                worker_memory_limit is not None
-                and worker_memory_hard_limit < worker_memory_limit
-            )
-        ):
-            raise ValueError(
-                "worker_memory_hard_limit must be >= 1 and >= "
-                f"worker_memory_limit, got {worker_memory_hard_limit}"
-            )
-        self.worker_memory_hard_limit = worker_memory_hard_limit
         self.artifact_store = artifact_store
         self._pool: "SpannerService | None" = None
         self._query_id: str | None = None
@@ -286,33 +160,25 @@ class ParallelSpanner:
     def variables(self) -> frozenset[str]:
         return self.spanner.variables
 
+    @property
+    def workers(self) -> int:
+        return self.config.workers
+
+    @property
+    def backend(self) -> str:
+        return self.config.backend
+
     def __repr__(self) -> str:
         return (
             f"ParallelSpanner(workers={self.workers}, "
-            f"chunk_size={self.chunk_size}, spanner={self.spanner!r})"
+            f"chunk_size={self.config.chunk_size}, spanner={self.spanner!r})"
         )
 
     # -- Fleet lifetime ------------------------------------------------------
     def _make_pool(self) -> SpannerService:
         """A started fleet with this session's one query registered."""
         service = SpannerService(
-            workers=self.workers,
-            backend=self.backend,
-            chunk_size=self.chunk_size,
-            mp_context=self.mp_context,
-            transport=self.transport,
-            shm_threshold=self.shm_threshold,
-            encoding=self.encoding,
-            errors=self.errors,
-            task_timeout=self.task_timeout,
-            on_overload=self.on_overload,
-            shm_budget=self.shm_budget,
-            max_tuples=self.max_tuples,
-            max_result_bytes=self.max_result_bytes,
-            on_result_limit=self.on_result_limit,
-            worker_memory_limit=self.worker_memory_limit,
-            worker_memory_hard_limit=self.worker_memory_hard_limit,
-            artifact_store=self.artifact_store,
+            artifact_store=self.artifact_store, **asdict(self.config)
         )
         service.start()
         self._query_id = service.register(self.spanner, source=self._source)
@@ -382,7 +248,7 @@ class ParallelSpanner:
         ahead of the last yielded result.
         """
         it = iter(docs)
-        first = list(islice(it, self.chunk_size))
+        first = list(islice(it, self.config.chunk_size))
         if not first:
             return  # empty corpus: don't spin up (or touch) any fleet
         if self._pool is not None:
@@ -412,7 +278,7 @@ class ParallelSpanner:
             exhausted = False
             while pending:
                 while not exhausted and len(pending) < self.max_pending:
-                    chunk = list(islice(it, self.chunk_size))
+                    chunk = list(islice(it, self.config.chunk_size))
                     if not chunk:
                         exhausted = True
                         break

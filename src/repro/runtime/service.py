@@ -130,6 +130,7 @@ import signal
 import threading
 import time
 from collections import deque
+from dataclasses import asdict, fields, replace
 from concurrent.futures import CancelledError, Future, InvalidStateError, wait
 from itertools import count
 from pathlib import Path
@@ -150,6 +151,7 @@ from ..spans import SpanTuple
 from ..vset.automaton import VSetAutomaton
 from .backends.base import WorkerHandle, resolve_backend
 from .compiled import CompiledSpanner, estimate_compile_states
+from .config import FleetConfig
 from .equality import CompiledEqualityQuery
 from .faults import FaultPlan
 from .fusion import (
@@ -166,20 +168,12 @@ from .store import (
     atomic_write_bytes,
 )
 from .tables import AutomatonTables
-from .transport import (
-    DEFAULT_SHM_THRESHOLD,
-    TRANSPORT_MODES,
-    ShmChunk,
-    create_transport,
-)
+from .transport import ShmChunk, create_transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..regex.ast import RegexFormula
 
 __all__ = ["SpannerService", "QueryHandle", "MANIFEST_FORMAT_VERSION"]
-
-#: Documents per dispatched task (same granularity ParallelSpanner uses).
-DEFAULT_CHUNK_SIZE = 16
 
 #: A task is re-dispatched after a worker death at most this many times
 #: in total before its future fails — the bound that keeps one
@@ -193,24 +187,6 @@ MAX_TASK_ATTEMPTS = 3
 #: nearly immediate while repeat offenders stop monopolising workers.
 RETRY_BACKOFF_BASE = 0.05
 RETRY_BACKOFF_CAP = 1.0
-
-#: What ``submit`` does once ``max_in_flight`` chunks are outstanding.
-OVERLOAD_POLICIES = ("block", "shed_oldest", "reject")
-
-#: What a worker does when a document's result crosses its cap:
-#: ``"error"`` fails exactly that task with
-#: :class:`~repro.errors.ResultLimitError`; ``"truncate"`` returns the
-#: bounded prefix (byte-identical up to the cap) and counts the
-#: truncation.
-RESULT_LIMIT_POLICIES = ("error", "truncate")
-
-#: Fleet-level failures (timeouts, lost workers, exhausted transient
-#: retries) before a query's circuit breaker opens.
-DEFAULT_QUARANTINE_AFTER = 3
-
-#: Seconds a quarantined query waits before a half-open probe is let
-#: through.
-DEFAULT_QUARANTINE_COOLDOWN = 30.0
 
 #: Distinguishes "caller passed None" (disable the deadline) from
 #: "caller passed nothing" (inherit the query/service default).
@@ -360,105 +336,13 @@ class QueryHandle(str):
 class SpannerService:
     """A resident multi-query worker fleet with an asyncio front-end.
 
+    Every plain-value keyword (``workers``, ``backend``, ``transport``,
+    ``task_timeout``, ``max_tuples``, ...) is a fleet knob: it builds
+    one :class:`~repro.runtime.config.FleetConfig`, which documents and
+    validates them all, and the service reads it back read-only as
+    :attr:`config`.  The object-valued arguments are:
+
     Args:
-        workers: fleet size; defaults to the machine's CPU count.
-        chunk_size: documents per dispatched task (the granularity of
-            load balancing, re-dispatch and recycling).
-        max_tasks_per_worker: recycle a worker after it has been
-            assigned this many tasks — it finishes its in-flight work,
-            stops, and is replaced by a fresh process.  ``None`` (the
-            default) never recycles.
-        max_in_flight: chunks in flight across the whole service before
-            :meth:`submit` blocks (backpressure); ``None`` = unbounded.
-        backend: the compute substrate the fleet runs on —
-            ``"process"`` (spawned worker processes; shm transport,
-            SIGKILL deadlines — the pre-seam behavior), ``"thread"``
-            (worker threads sharing one materialized engine per query;
-            no pickling, no shm — real parallelism on free-threaded
-            builds), ``"serial"`` (inline execution in the calling
-            thread; deadlines and the memory watchdog are inert — there
-            is no worker to kill) or ``"auto"`` (the default: thread on
-            free-threaded interpreters, process otherwise).  Results
-            are byte-identical across backends.
-        mp_context: a :mod:`multiprocessing` start-method name
-            ("fork", "spawn", "forkserver") or ``None`` for the
-            platform default (process backend only).
-        transport: how in-memory documents reach the workers —
-            ``"auto"`` (shared-memory segments for chunks whose encoded
-            payload reaches ``shm_threshold`` bytes, the task pipe
-            below it or where POSIX shm is missing), ``"shm"`` (always
-            shared memory; raises
-            :class:`~repro.runtime.transport.TransportUnavailableError`
-            where unsupported) or ``"pipe"`` (always the task message,
-            the pre-transport behavior).  File paths (``submit_files``)
-            always ride the pipe — workers read those themselves.
-        shm_threshold: the ``"auto"`` negotiation bound, in encoded
-            bytes per chunk.
-        encoding / errors: how workers decode file-backed documents
-            (the ``files`` op); any :func:`codecs` name / error
-            handler.  In-memory documents are never re-encoded with
-            this codec — the shm transport uses its own fixed lossless
-            wire codec.
-        task_timeout: default per-task execution deadline in seconds;
-            ``None`` (the default) never times out.  Override per query
-            (``register(..., timeout=...)``) or per call
-            (``submit*(..., timeout=...)``); the most specific setting
-            wins, and an explicit ``timeout=None`` at a more specific
-            level *disables* the inherited deadline.  A task past its
-            deadline has its worker killed and replaced and its future
-            failed with :class:`~repro.errors.TaskTimeoutError`.
-        quarantine_after: consecutive fleet-level failures (timeouts,
-            lost workers, exhausted transient retries — not ordinary
-            per-task exceptions) before a query is quarantined.
-        quarantine_cooldown: seconds a quarantined query waits before a
-            half-open probe submission is admitted.
-        on_overload: policy once ``max_in_flight`` chunks are
-            outstanding — ``"block"`` (default: submission blocks, the
-            pre-fault-tolerance backpressure), ``"reject"`` (submission
-            raises :class:`~repro.errors.OverloadedError`) or
-            ``"shed_oldest"`` (the oldest *backlogged* task's future is
-            failed with ``OverloadedError`` to make room; falls back to
-            blocking when nothing is sheddable).
-        shm_budget: byte budget for the shared-memory transport's
-            segments (in-flight + free pool together); ``None`` =
-            unbounded.  Under pressure the free pool shrinks first; a
-            chunk the remaining budget cannot fit — like any real
-            ``ENOSPC``/``MemoryError`` out of ``/dev/shm`` — falls back
-            to the task pipe for that chunk (counted in ``health()``,
-            never fatal, results byte-identical).
-        max_tuples / max_result_bytes: service-default result cap per
-            *document* (``None`` = uncapped).  Enforced worker-side
-            with incremental accounting over the polynomial-delay
-            stream; override per query (``register``) or per call
-            (``submit*``), most specific wins, explicit ``None``
-            disables an inherited cap.
-        on_result_limit: ``"error"`` (default) fails a capped task with
-            :class:`~repro.errors.ResultLimitError` — which indicts the
-            input, so it never charges the query's breaker; or
-            ``"truncate"`` — the document contributes exactly its first
-            ``max_tuples`` tuples (/ last tuple under the byte cap),
-            byte-identical to the serial prefix, and the truncation is
-            counted.
-        worker_memory_limit: RSS (bytes) past which a worker is
-            drained-and-recycled at its next task boundary — in-flight
-            work finishes, nothing is lost.  Sampled from the heartbeat
-            channel, so detection is one collector tick after the task
-            that bloated the worker ends.
-        worker_memory_hard_limit: RSS past which a worker is killed
-            *immediately* (its tasks re-dispatch like crash orphans) —
-            the backstop for a worker ballooning mid-task, before any
-            task boundary.  Must be >= ``worker_memory_limit``.
-        max_compile_states: reject ``register()`` inputs whose
-            *estimated* automaton size exceeds this with
-            :class:`~repro.errors.QueryRejectedError` — the estimate
-            (Lemma 3.4's construction emits <= 2 states per syntax-tree
-            node) costs a parse, not a compile.
-        compile_timeout: seconds a ``register()`` compilation may run.
-            When set, compilation happens in a throwaway process under
-            this deadline (the fleet's hung-task pattern); on expiry it
-            is killed and ``register`` raises
-            :class:`~repro.errors.QueryRejectedError` — no worker is
-            consumed and the fleet keeps serving.
         fault_plan: a :class:`~repro.runtime.faults.FaultPlan` shipped
             to every worker — deterministic chaos for the test suite;
             leave ``None`` in production.
@@ -475,8 +359,8 @@ class SpannerService:
             ``<manifest dir>/artifacts``.
         manifest_path: when set, the service journals a restart
             manifest (registered queries, their store keys and
-            recompilable sources, open quarantines, the constructor
-            config) to this JSON file — atomically rewritten on every
+            recompilable sources, open quarantines, the fleet config)
+            to this JSON file — atomically rewritten on every
             ``register()`` and on quarantine changes — so
             :meth:`SpannerService.restore` can rebuild an equivalent
             fleet after a crash (``kill -9`` included).
@@ -491,149 +375,42 @@ class SpannerService:
     def __init__(
         self,
         *,
-        workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_tasks_per_worker: int | None = None,
-        max_in_flight: int | None = None,
-        backend: str = "auto",
-        mp_context: str | None = None,
-        transport: str = "auto",
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-        encoding: str = "utf-8",
-        errors: str = "strict",
-        task_timeout: float | None = None,
-        quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-        quarantine_cooldown: float = DEFAULT_QUARANTINE_COOLDOWN,
-        on_overload: str = "block",
-        shm_budget: int | None = None,
-        max_tuples: int | None = None,
-        max_result_bytes: int | None = None,
-        on_result_limit: str = "error",
-        worker_memory_limit: int | None = None,
-        worker_memory_hard_limit: int | None = None,
-        max_compile_states: int | None = None,
-        compile_timeout: float | None = None,
         fault_plan: "FaultPlan | None" = None,
         artifact_store: "ArtifactStore | None" = None,
         manifest_path: "str | os.PathLike | None" = None,
+        **config,
     ):
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
-        if max_tasks_per_worker is not None and max_tasks_per_worker < 1:
-            raise ValueError(
-                f"max_tasks_per_worker must be >= 1, got {max_tasks_per_worker}"
-            )
-        self.max_tasks_per_worker = max_tasks_per_worker
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError(
-                f"max_in_flight must be >= 1, got {max_in_flight}"
-            )
-        self.max_in_flight = max_in_flight
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        self.task_timeout = task_timeout
-        if quarantine_after < 1:
-            raise ValueError(
-                f"quarantine_after must be >= 1, got {quarantine_after}"
-            )
-        self.quarantine_after = quarantine_after
-        if quarantine_cooldown < 0:
-            raise ValueError(
-                f"quarantine_cooldown must be >= 0, got {quarantine_cooldown}"
-            )
-        self.quarantine_cooldown = quarantine_cooldown
-        if on_overload not in OVERLOAD_POLICIES:
-            raise ValueError(
-                f"on_overload must be one of {OVERLOAD_POLICIES}, "
-                f"got {on_overload!r}"
-            )
-        self.on_overload = on_overload
-        if max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        self.max_tuples = max_tuples
-        if max_result_bytes is not None and max_result_bytes < 1:
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
-        self.max_result_bytes = max_result_bytes
-        if on_result_limit not in RESULT_LIMIT_POLICIES:
-            raise ValueError(
-                f"on_result_limit must be one of {RESULT_LIMIT_POLICIES}, "
-                f"got {on_result_limit!r}"
-            )
-        self.on_result_limit = on_result_limit
-        if worker_memory_limit is not None and worker_memory_limit < 1:
-            raise ValueError(
-                f"worker_memory_limit must be >= 1, got {worker_memory_limit}"
-            )
-        self.worker_memory_limit = worker_memory_limit
-        if worker_memory_hard_limit is not None:
-            if worker_memory_hard_limit < 1:
-                raise ValueError(
-                    "worker_memory_hard_limit must be >= 1, "
-                    f"got {worker_memory_hard_limit}"
-                )
-            if (
-                worker_memory_limit is not None
-                and worker_memory_hard_limit < worker_memory_limit
-            ):
-                raise ValueError(
-                    "worker_memory_hard_limit must be >= worker_memory_limit "
-                    f"({worker_memory_hard_limit} < {worker_memory_limit})"
-                )
-        self.worker_memory_hard_limit = worker_memory_hard_limit
-        if max_compile_states is not None and max_compile_states < 1:
-            raise ValueError(
-                f"max_compile_states must be >= 1, got {max_compile_states}"
-            )
-        self.max_compile_states = max_compile_states
-        if compile_timeout is not None and compile_timeout <= 0:
-            raise ValueError(
-                f"compile_timeout must be > 0, got {compile_timeout}"
-            )
-        self.compile_timeout = compile_timeout
+        config = FleetConfig(**config)
+        workers = config.workers or os.cpu_count() or 1
         self.fault_plan = fault_plan
-        self.mp_context = mp_context
-        self.encoding = encoding
-        self.errors = errors
-        self.transport = transport
-        self.shm_threshold = shm_threshold
-        self.shm_budget = shm_budget
         #: The mechanism layer: everything process/thread/inline-specific
         #: (spawn, dispatch, result collection, heartbeats, kill) lives
         #: behind this seam; the service is pure policy over it.
         self._backend = resolve_backend(
-            backend,
-            workers=self.workers,
-            mp_context=mp_context,
-            encoding=encoding,
-            errors=errors,
+            config.backend,
+            workers=workers,
+            mp_context=config.mp_context,
+            encoding=config.encoding,
+            errors=config.errors,
             fault_plan=fault_plan,
         )
-        #: The *resolved* backend name ("auto" never survives
-        #: construction) — what health() and the manifest report.
-        self.backend = self._backend.name
-        if self._backend.uses_wire_transport:
-            # None = pure pipe; otherwise the owning side of the
-            # shared-memory document transport (validates the mode
-            # string and the budget).
-            self._doc_transport = create_transport(
-                transport, shm_threshold=shm_threshold, shm_budget=shm_budget
+        # Resolved: "auto" and workers=None never survive construction,
+        # so health(), the manifest and restore() see the real fleet.
+        self._config = replace(
+            config, workers=workers, backend=self._backend.name
+        )
+        # The owning side of the shared-memory document transport, or
+        # None: pure pipe, or same-address-space workers that read the
+        # submitted documents directly (no wire, nothing to pack).
+        self._doc_transport = (
+            create_transport(
+                config.transport,
+                shm_threshold=config.shm_threshold,
+                shm_budget=config.shm_budget,
             )
-        else:
-            # Same-address-space workers read the submitted documents
-            # directly — no wire, nothing to pack.  Still validate the
-            # mode string so a typo fails identically on every backend.
-            if transport not in TRANSPORT_MODES:
-                raise ValueError(
-                    f"transport must be one of {TRANSPORT_MODES}, "
-                    f"got {transport!r}"
-                )
-            self._doc_transport = None
+            if self._backend.uses_wire_transport
+            else None
+        )
         if (
             fault_plan is not None
             and fault_plan.enospc_packs
@@ -675,8 +452,8 @@ class SpannerService:
         self._collector: threading.Thread | None = None
         self._stop_event = threading.Event()
         self._inflight_slots = (
-            threading.BoundedSemaphore(max_in_flight)
-            if max_in_flight is not None
+            threading.BoundedSemaphore(config.max_in_flight)
+            if config.max_in_flight is not None
             else None
         )
         self._started = False
@@ -696,6 +473,20 @@ class SpannerService:
         self._memory_kills = 0  # workers killed past the hard ceiling
 
     # -- Introspection ------------------------------------------------------
+    @property
+    def config(self) -> FleetConfig:
+        """The fleet's knobs, with ``workers`` and ``backend`` resolved."""
+        return self._config
+
+    @property
+    def workers(self) -> int:
+        return self._config.workers
+
+    @property
+    def backend(self) -> str:
+        """The resolved backend name (never ``"auto"``)."""
+        return self._config.backend
+
     @property
     def _all_processes(self) -> list:
         """Every worker process the backend has ever spawned (process
@@ -1000,28 +791,17 @@ class SpannerService:
         asserts that ``source`` compiles to ``query`` — the pairing is
         not checked.  Ignored when ``query`` is itself compilable.
         """
-        if timeout is not _UNSET and timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if max_tuples is not _UNSET and max_tuples is not None and max_tuples < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {max_tuples}")
-        if (
-            max_result_bytes is not _UNSET
-            and max_result_bytes is not None
-            and max_result_bytes < 1
-        ):
-            raise ValueError(
-                f"max_result_bytes must be >= 1, got {max_result_bytes}"
-            )
-        if self.max_compile_states is not None:
+        self._check_limits(timeout, max_tuples, max_result_bytes)
+        if self._config.max_compile_states is not None:
             estimate = estimate_compile_states(query)
-            if estimate is not None and estimate > self.max_compile_states:
+            if estimate is not None and estimate > self._config.max_compile_states:
                 with self._lock:
                     self._rejected += 1
                 raise QueryRejectedError(
                     f"estimated automaton size {estimate} exceeds "
-                    f"max_compile_states={self.max_compile_states}",
+                    f"max_compile_states={self._config.max_compile_states}",
                     estimated_states=estimate,
-                    max_compile_states=self.max_compile_states,
+                    max_compile_states=self._config.max_compile_states,
                 )
         store = self.artifact_store
         spec = self._source_spec(query)
@@ -1065,15 +845,15 @@ class SpannerService:
             source_json=self._source_json(spec),
         )
         with self._lock:
-            eff_timeout = self._query_timeouts.get(qid, self.task_timeout)
+            eff_timeout = self._query_timeouts.get(qid, self._config.task_timeout)
             q_tuples, q_bytes = self._query_caps.get(qid, (_UNSET, _UNSET))
         return QueryHandle(
             qid,
             fingerprint=hashlib.sha256(payload).hexdigest(),
             timeout=eff_timeout,
-            max_tuples=self.max_tuples if q_tuples is _UNSET else q_tuples,
+            max_tuples=self._config.max_tuples if q_tuples is _UNSET else q_tuples,
             max_result_bytes=(
-                self.max_result_bytes if q_bytes is _UNSET else q_bytes
+                self._config.max_result_bytes if q_bytes is _UNSET else q_bytes
             ),
         )
 
@@ -1204,36 +984,6 @@ class SpannerService:
             return MemoryStore(budget=desc.get("budget"))
         return None  # custom stores cannot be rebuilt from a manifest
 
-    def _manifest_config(self) -> dict:
-        """The constructor kwargs ``restore()`` replays (JSON-safe)."""
-        return {
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "max_tasks_per_worker": self.max_tasks_per_worker,
-            "max_in_flight": self.max_in_flight,
-            # The *resolved* name: a fleet constructed with "auto"
-            # restores onto the substrate it actually ran on, not onto
-            # whatever "auto" means on the restoring interpreter.
-            "backend": self.backend,
-            "mp_context": self.mp_context,
-            "transport": self.transport,
-            "shm_threshold": self.shm_threshold,
-            "encoding": self.encoding,
-            "errors": self.errors,
-            "task_timeout": self.task_timeout,
-            "quarantine_after": self.quarantine_after,
-            "quarantine_cooldown": self.quarantine_cooldown,
-            "on_overload": self.on_overload,
-            "shm_budget": self.shm_budget,
-            "max_tuples": self.max_tuples,
-            "max_result_bytes": self.max_result_bytes,
-            "on_result_limit": self.on_result_limit,
-            "worker_memory_limit": self.worker_memory_limit,
-            "worker_memory_hard_limit": self.worker_memory_hard_limit,
-            "max_compile_states": self.max_compile_states,
-            "compile_timeout": self.compile_timeout,
-        }
-
     def _write_manifest_locked(self) -> None:
         """Atomically rewrite the restart manifest (self._lock held).
 
@@ -1245,7 +995,7 @@ class SpannerService:
             return
         doc = {
             "format": MANIFEST_FORMAT_VERSION,
-            "config": self._manifest_config(),
+            "config": asdict(self._config),
             "store": self._store_descriptor(),
             "queries": [
                 self._manifest_entries[qid]
@@ -1290,8 +1040,9 @@ class SpannerService:
     ) -> "SpannerService":
         """Rebuild a fleet from its restart manifest after a crash.
 
-        Reconstructs the service with the manifest's constructor config
-        (``overrides`` win key-by-key), re-registers every journaled
+        Reconstructs the service with the manifest's
+        :class:`~repro.runtime.config.FleetConfig` (``overrides`` — knobs
+        or ``fault_plan`` — win key-by-key), re-registers every journaled
         query — reviving the compiled artifact from the store when its
         bytes verify against the recorded fingerprint (no
         recompilation; the store's hit counter proves it), recompiling
@@ -1308,8 +1059,11 @@ class SpannerService:
         preprocessing (Theorem 3.3 is a pure function of the query).
 
         Raises :class:`~repro.errors.SpannerError` when the manifest is
-        unreadable, from an unknown format version, or names a query
-        whose artifact is gone *and* that has no recompilable source.
+        unreadable, from an unknown format version, carries a config key
+        that is not a fleet knob, or names a query whose artifact is
+        gone *and* that has no recompilable source.  A bad override
+        fails like a bad constructor keyword (``TypeError`` for an
+        unknown name, ``ValueError`` for an invalid value).
         """
         path = Path(manifest_path)
         try:
@@ -1325,6 +1079,11 @@ class SpannerService:
                 f"build speaks v{MANIFEST_FORMAT_VERSION}"
             )
         config = dict(doc.get("config") or {})
+        unknown = sorted(set(config) - {f.name for f in fields(FleetConfig)})
+        if unknown:
+            raise SpannerError(
+                f"manifest {path} has unknown config keys {unknown}"
+            )
         if fmt == 1:
             # v1 predates the backend seam: only the process fleet
             # existed, so that is what the manifest implicitly records.
@@ -1345,7 +1104,7 @@ class SpannerService:
                         continue
                     breaker = _Breaker()
                     breaker.failures = int(
-                        rec.get("failures", service.quarantine_after)
+                        rec.get("failures", service._config.quarantine_after)
                     )
                     breaker.opened_at = now
                     service._breakers[qid] = breaker
@@ -1385,16 +1144,16 @@ class SpannerService:
                 # an eviction/re-put cycle): not safe to revive.
                 payload = None
         if payload is not None:
-            if self.max_compile_states is not None:
+            if self._config.max_compile_states is not None:
                 estimate = estimate_compile_states(pickle.loads(payload))
-                if estimate is not None and estimate > self.max_compile_states:
+                if estimate is not None and estimate > self._config.max_compile_states:
                     with self._lock:
                         self._rejected += 1
                     raise QueryRejectedError(
                         f"restored query {qid!r}: automaton size {estimate} "
-                        f"exceeds max_compile_states={self.max_compile_states}",
+                        f"exceeds max_compile_states={self._config.max_compile_states}",
                         estimated_states=estimate,
-                        max_compile_states=self.max_compile_states,
+                        max_compile_states=self._config.max_compile_states,
                     )
             self._commit_registration(
                 qid,
@@ -1440,7 +1199,7 @@ class SpannerService:
             query,
             (CompiledSpanner, CompiledEqualityQuery, AutomatonTables, FusedQuery),
         )
-        if self.compile_timeout is None or (precompiled and not delay):
+        if self._config.compile_timeout is None or (precompiled and not delay):
             if delay:
                 time.sleep(delay)
             return pickle.dumps(
@@ -1457,7 +1216,7 @@ class SpannerService:
                 self._rejected += 1
 
         return compile_in_subprocess(
-            query, delay, self.compile_timeout, self.mp_context,
+            query, delay, self._config.compile_timeout, self._config.mp_context,
             on_timeout=on_timeout,
         )
 
@@ -1665,7 +1424,7 @@ class SpannerService:
                 finite = [
                     d
                     for d in (
-                        self._query_timeouts.get(qid, self.task_timeout)
+                        self._query_timeouts.get(qid, self._config.task_timeout)
                         for qid in members
                     )
                     if d is not None
@@ -1680,7 +1439,7 @@ class SpannerService:
         engine_id = (
             members[0] if len(members) == 1 else self._ensure_fused(members)
         )
-        size = chunk_size or self.chunk_size
+        size = chunk_size or self._config.chunk_size
         chunk_futures = [
             self._dispatch_chunk(
                 engine_id, members, items[i : i + size], op, extra,
@@ -1740,14 +1499,14 @@ class SpannerService:
         """
         q_tuples, q_bytes = self._query_caps.get(query_id, (_UNSET, _UNSET))
         if max_tuples is _UNSET:
-            max_tuples = self.max_tuples if q_tuples is _UNSET else q_tuples
+            max_tuples = self._config.max_tuples if q_tuples is _UNSET else q_tuples
         if max_result_bytes is _UNSET:
             max_result_bytes = (
-                self.max_result_bytes if q_bytes is _UNSET else q_bytes
+                self._config.max_result_bytes if q_bytes is _UNSET else q_bytes
             )
         if max_tuples is None and max_result_bytes is None:
             return None
-        return (max_tuples, max_result_bytes, self.on_result_limit)
+        return (max_tuples, max_result_bytes, self._config.on_result_limit)
 
     def _admit_locked(self, query_id: str) -> None:
         """Fail fast while ``query_id``'s breaker is open (lock held).
@@ -1761,9 +1520,9 @@ class SpannerService:
         if breaker is None or breaker.opened_at is None:
             return
         now = time.monotonic()
-        ready_at = breaker.opened_at + self.quarantine_cooldown
+        ready_at = breaker.opened_at + self._config.quarantine_cooldown
         if breaker.probe_at is not None:
-            ready_at = max(ready_at, breaker.probe_at + self.quarantine_cooldown)
+            ready_at = max(ready_at, breaker.probe_at + self._config.quarantine_cooldown)
         if now >= ready_at:
             breaker.probe_at = now  # this submission is the probe
             return
@@ -1774,12 +1533,12 @@ class SpannerService:
         slots = self._inflight_slots
         if slots.acquire(blocking=False):
             return
-        if self.on_overload == "block":
+        if self._config.on_overload == "block":
             slots.acquire()
             return
-        if self.on_overload == "reject":
+        if self._config.on_overload == "reject":
             raise OverloadedError(
-                f"max_in_flight={self.max_in_flight} chunks already "
+                f"max_in_flight={self._config.max_in_flight} chunks already "
                 "outstanding (on_overload='reject')"
             )
         # shed_oldest: fail backlogged tasks oldest-first until a slot
@@ -1822,7 +1581,7 @@ class SpannerService:
         the shared-memory transport when one is configured and the
         chunk clears its size threshold, and ride the task message
         otherwise.  Packing always uses the transport's fixed lossless
-        wire codec — ``self.encoding`` only governs how workers read
+        wire codec — the ``encoding`` knob only governs how workers read
         *files*.
         """
         if self._doc_transport is None or op == "files":
@@ -2036,9 +1795,9 @@ class SpannerService:
         if breaker is None or breaker.opened_at is None:
             return None
         now = time.monotonic()
-        ready_at = breaker.opened_at + self.quarantine_cooldown
+        ready_at = breaker.opened_at + self._config.quarantine_cooldown
         if breaker.probe_at is not None:
-            ready_at = max(ready_at, breaker.probe_at + self.quarantine_cooldown)
+            ready_at = max(ready_at, breaker.probe_at + self._config.quarantine_cooldown)
         if now >= ready_at:
             return None  # would admit (as the probe)
         return QueryQuarantinedError(query_id, breaker.failures, ready_at - now)
@@ -2051,7 +1810,7 @@ class SpannerService:
         skipped (sequential fallback) rather than refused — every
         member already passed admission individually.
         """
-        if self.max_compile_states is None:
+        if self._config.max_compile_states is None:
             return True
         with self._lock:
             payloads = [self._registry[qid] for qid in member_ids]
@@ -2061,7 +1820,7 @@ class SpannerService:
             if estimate is None:
                 return True  # unboundable member: admit, as register() does
             total += estimate
-        return total <= self.max_compile_states
+        return total <= self._config.max_compile_states
 
     def _ensure_fused(self, member_ids: "tuple[str, ...]") -> str:
         """The registry id of the fused engine over ``member_ids``.
@@ -2260,8 +2019,8 @@ class SpannerService:
         worker.in_flight[task.task_id] = task
         worker.assigned += 1
         if (
-            self.max_tasks_per_worker is not None
-            and worker.assigned >= self.max_tasks_per_worker
+            self._config.max_tasks_per_worker is not None
+            and worker.assigned >= self._config.max_tasks_per_worker
         ):
             worker.retiring = True
         self._backend.dispatch(
@@ -2478,8 +2237,8 @@ class SpannerService:
         A never-stamped heartbeat (rss 0.0) is skipped — a fresh idle
         worker has shown no evidence either way.
         """
-        soft = self.worker_memory_limit
-        hard = self.worker_memory_hard_limit
+        soft = self._config.worker_memory_limit
+        hard = self._config.worker_memory_hard_limit
         if soft is None and hard is None:
             return
         if self._backend.worker_model != "process":
@@ -2595,7 +2354,7 @@ class SpannerService:
             # the cool-down from now.
             breaker.opened_at = now
             breaker.probe_at = None
-        elif breaker.failures >= self.quarantine_after:
+        elif breaker.failures >= self._config.quarantine_after:
             breaker.opened_at = now
         if breaker.opened_at is not None and self.manifest_path is not None:
             self._manifest_dirty = True  # journaled at the next tick

@@ -100,6 +100,7 @@ __all__ = [
     "ShmDocumentView",
     "SharedMemoryTransport",
     "TransportUnavailableError",
+    "check_transport_mode",
     "create_transport",
     "read_document",
     "shm_available",
@@ -307,10 +308,28 @@ def _finalize_session(segments: dict, pool: dict, pidfile: str) -> None:
     for segment in leftovers:
         try:
             segment.close()
-            segment.unlink()
+            _unlink_untracked(segment)
         except Exception:
             pass
     _remove_pidfile(pidfile)
+
+
+def check_transport_mode(mode: str) -> None:
+    """Reject an unknown mode, and ``"shm"`` where shm is missing.
+
+    ``"auto"`` degrades to the pipe silently there instead; ``"shm"``
+    raises, because the caller asked for a guarantee the platform
+    cannot give.  Side-effect free: no segment, sweep or pidfile.
+    """
+    if mode not in TRANSPORT_MODES:
+        raise ValueError(
+            f"transport must be one of {TRANSPORT_MODES}, got {mode!r}"
+        )
+    if mode == "shm" and not shm_available():
+        raise TransportUnavailableError(
+            "transport='shm' requires multiprocessing.shared_memory, "
+            "which this platform does not provide — use 'auto' or 'pipe'"
+        )
 
 
 def create_transport(
@@ -321,24 +340,13 @@ def create_transport(
 ) -> "SharedMemoryTransport | None":
     """The transport for ``mode`` — ``None`` means "everything by pipe".
 
-    ``"auto"`` degrades to the pipe silently where shared memory is
-    unavailable; ``"shm"`` raises instead, because the caller asked for
-    a guarantee the platform cannot give.  ``shm_budget`` caps the
-    bytes of segment capacity the transport may own at once; chunks
-    that would overrun it ride the pipe instead (counted, never fatal).
+    ``mode`` is checked by :func:`check_transport_mode`.  ``shm_budget``
+    caps the bytes of segment capacity the transport may own at once;
+    chunks that would overrun it ride the pipe instead (counted, never
+    fatal).
     """
-    if mode not in TRANSPORT_MODES:
-        raise ValueError(
-            f"transport must be one of {TRANSPORT_MODES}, got {mode!r}"
-        )
-    if mode == "pipe":
-        return None
-    if not shm_available():
-        if mode == "shm":
-            raise TransportUnavailableError(
-                "transport='shm' requires multiprocessing.shared_memory, "
-                "which this platform does not provide — use 'auto' or 'pipe'"
-            )
+    check_transport_mode(mode)
+    if mode == "pipe" or not shm_available():
         return None
     return SharedMemoryTransport(
         threshold=shm_threshold, force=(mode == "shm"), budget=shm_budget
@@ -408,6 +416,23 @@ def _create_untracked(name: str, size: int):
         except Exception:  # pragma: no cover - tracker already gone
             pass
     return segment
+
+
+def _unlink_untracked(segment) -> None:
+    """Unlink a segment made by :func:`_create_untracked`.
+
+    ``SharedMemory.unlink()`` also unregisters the name from the
+    ``resource_tracker``.  Before Python 3.13 that unregister is
+    unconditional, and the name was already taken back at create time,
+    so the tracker would print a ``KeyError`` traceback per segment.
+    There, unlink the POSIX name directly instead.
+    """
+    if hasattr(segment, "_track") or not _shared_memory._USE_POSIX:
+        # Python >= 3.13 honours track=False; off POSIX there is no
+        # name to unlink and no unregister either.
+        segment.unlink()
+        return
+    _shared_memory._posixshmem.shm_unlink(segment._name)
 
 
 #: The *wire* codec for shared-memory chunks.  Deliberately fixed and
@@ -833,7 +858,7 @@ class SharedMemoryTransport:
             segment.close()
         finally:
             try:
-                segment.unlink()
+                _unlink_untracked(segment)
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 

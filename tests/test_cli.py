@@ -318,6 +318,46 @@ class TestWorkerSharding:
             assert capsys.readouterr().out == serial, mode
 
 
+class TestFleetFlags:
+    """The fleet's governance flags reach the workers unchanged."""
+
+    CORPUS = ["ab code=12 cd=345 x", "none here", "z=6 y=78"]
+
+    def test_max_tuples_truncate_keeps_each_files_first_tuple(
+        self, tmp_path, capsys
+    ):
+        files = TestWorkerSharding._write_corpus(tmp_path, self.CORPUS)
+        args = ["extract", ".*x{[0-9]+}.*"] + files
+        assert main(args) == 0
+        first: dict[str, str] = {}
+        for line in capsys.readouterr().out.splitlines():
+            first.setdefault(line.split(": ", 1)[0], line)
+        assert len(first) == 2  # the middle file has no tuple
+        code = main(
+            args + ["--workers", "2", "--max-tuples", "1",
+                    "--on-result-limit", "truncate"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == list(first.values())
+
+    def test_generous_limits_match_serial(self, tmp_path, capsys):
+        files = TestWorkerSharding._write_corpus(tmp_path, self.CORPUS)
+        args = ["extract", ".*x{[0-9]+}.*"] + files
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        limits = [
+            "--task-timeout", "60", "--shm-budget", str(1 << 24),
+            "--max-tuples", "1000", "--max-result-bytes", str(1 << 20),
+            "--worker-memory-limit", str(1 << 40),
+        ]
+        # Without admission flags one formula streams through a
+        # ParallelSpanner session; with them it registers on a fleet.
+        admission = ["--max-compile-states", "10000", "--compile-timeout", "60"]
+        for extra in (limits, limits + admission):
+            assert main(args + ["--workers", "2"] + extra) == 0
+            assert capsys.readouterr().out == serial, extra
+
+
 class TestEncodingFlags:
     """--encoding/--errors reach the serial and worker read paths."""
 

@@ -193,7 +193,7 @@ class TestRestore:
             assert restored.queries == (qid,)
             stats = restored.artifact_store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0  # no recompile
-            assert restored.workers == 2 and restored.chunk_size == 3
+            assert restored.workers == 2 and restored.config.chunk_size == 3
             # The per-query override came back through the manifest.
             assert restored._query_caps[qid][0] == 10_000
             out2 = restored.submit(DOCS, queries=qid).result()

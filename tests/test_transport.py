@@ -434,6 +434,42 @@ class TestOrphanJanitor:
         assert name not in dev_shm_segments()
 
 
+
+class TestResourceTrackerQuiet:
+    """Owner unlinks leave Python's ``resource_tracker`` nothing to say.
+
+    Segments are taken back from the tracker at create time, so an
+    unlink that unregisters them again makes the tracker print a
+    ``KeyError`` traceback per segment (Python < 3.13).  The tracker is
+    a separate process writing to the driver's stderr, which pytest
+    does not capture — hence the subprocess.
+    """
+
+    @pytest.mark.parametrize("ending", ["release_and_close", "exit"])
+    def test_unlink_prints_no_tracker_traceback(self, ending):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        script = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from repro.runtime.transport import SharedMemoryTransport\n"
+            "t = SharedMemoryTransport(force=True)\n"
+            "refs = [t.pack(['x' * 5000 * i]) for i in (1, 2, 3)]\n"
+        ) % os.path.abspath(src)
+        if ending == "release_and_close":
+            script += "for ref in refs:\n    t.release(ref)\nt.close()\n"
+        # "exit": the weakref finalizer unlinks at interpreter exit.
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "KeyError" not in out.stderr, out.stderr
+        assert "Traceback" not in out.stderr, out.stderr
+
 class TestReadDocument:
     def test_mmap_and_plain_reads_agree(self, tmp_path):
         path = tmp_path / "doc.txt"
