@@ -37,20 +37,13 @@ Series reproduced:
   while the per-call path re-pays both on every batch; a
   recycle-enabled row measures the overhead of continuously replacing
   workers (``max_tasks_per_worker``);
-* the document transport (E13f): pipe vs shared-memory docs/sec for
-  in-memory corpora across document sizes at 4 workers.  The probe
-  query is anchored and (almost) never matches, so the per-document
-  sweep exits on the first character and the measured throughput is
-  the *transport* — the pickled-task-pipe copy chain versus one
-  shared-memory pack and a lazy worker-side decode; a few planted
-  full-match documents keep the asserted outputs nonempty;
 * the fault-tolerance tax (E13g): the E13a workload on a fleet with
   per-task deadlines and heartbeats enabled (``task_timeout=30``)
   versus disabled — no fault fires, so the delta is the bookkeeping
   overhead of the healthy path (target <= 3%);
 * the resource-governance tax (E13h): the same workload with the full
-  governance layer armed — shm budget, result-size caps, memory
-  watchdog, compile admission — at limits generous enough that
+  governance layer armed — result-size caps, memory watchdog, compile
+  admission — at limits generous enough that
   nothing ever trips, versus everything off; the delta is the cost of
   *checking* the limits (target <= 1%), and every governance counter
   must read 0;
@@ -58,14 +51,14 @@ Series reproduced:
   checksummed artifact write) versus a warm register in a fresh driver
   generation that revives the artifact by source fingerprint without
   compiling — also the per-query cost of ``SpannerService.restore()``;
-  store hit/corrupt/orphan counters are stamped into the table;
+  store hit/corrupt counters are stamped into the table;
 * fused multi-query serving (E13j): Q registered queries answering one
   corpus through ``submit_all`` — one fused task per chunk
   (``fuse=True``) versus Q sequential scans (``fuse=False``) — with
   per-query outputs asserted byte-identical both ways; the workload is
   scan-dominated (anchored probes over ~16 KiB documents), so the
-  speedup column isolates the costs fusion actually shares — document
-  transport, decode and dispatch, paid once instead of Q times
+  speedup column isolates the costs fusion actually shares — the task
+  message, decode and dispatch, paid once instead of Q times
   (target: fused wins from Q >= 4);
 * output equality is asserted, not sampled.
 """
@@ -105,29 +98,6 @@ def sentence_corpus(n_docs: int, seed: int = 13) -> list[str]:
 
 def workload_automaton():
     return compile_regex(dictionary_spanner(DICTIONARY)).compacted()
-
-
-#: E13f's probe: anchored, so on any document that is not exactly the
-#: needle the sweep's frontier dies on the first character and the
-#: evaluation graph build exits immediately — per-document cost is
-#: O(1), which is what lets the table read as a *transport* benchmark.
-TRANSPORT_NEEDLE = "ZQXJKW"
-
-
-def transport_corpus(n_docs: int, doc_bytes: int) -> list[str]:
-    """``n_docs`` ASCII documents of ~``doc_bytes`` each, every eighth
-    one a planted full match of :data:`TRANSPORT_NEEDLE` (so the
-    parity assertions compare nonempty outputs, not just empty lists).
-    """
-    docs = []
-    for i in range(n_docs):
-        if i % 8 == 7:
-            docs.append(TRANSPORT_NEEDLE)
-            continue
-        line = f"log line {i:06d} lorem ipsum dolor sit amet "
-        reps = max(1, doc_bytes // len(line))
-        docs.append(line * reps)
-    return docs
 
 
 def _cold_pass(automaton, docs: list[str]) -> list[list]:
@@ -314,9 +284,6 @@ def run() -> list[Table]:
     )
 
     tables = [throughput, long_docs, counts, scaling, fleet_table]
-    transport_table = _run_e13f()
-    if transport_table is not None:
-        tables.append(transport_table)
     tables.append(_run_e13g())
     tables.append(_run_e13h())
     tables.append(_run_e13i())
@@ -383,8 +350,9 @@ def _run_e13k():
 def _run_e13j():
     """E13j: fused multi-query serving vs Q sequential scans.
 
-    Q anchored probe queries (distinct needles, E13f's O(1)-per-
-    document shape) registered on one 2-worker fleet, all answering
+    Q anchored probe queries (distinct needles: on any other document
+    the sweep dies on the first character, so per-document evaluation
+    is O(1)) registered on one 2-worker fleet, all answering
     the same ~16 KiB-document corpus through ``submit_all``.
     ``fuse=False`` dispatches Q independent scans — the pre-fusion
     serving shape, shipping every document to the workers Q times;
@@ -396,10 +364,10 @@ def _run_e13j():
     The sweep runs per member: a fused task runs each member's own
     solo sweep and enumeration (that is what makes the streams
     byte-identical), so the per-member automaton work is never shared
-    — what fusion shares is everything *around* it: document
-    transport, worker-side decode, task dispatch and result
-    round-trips (and the equality members' ``SubstringIndex``), all
-    paid once instead of Q times.  This table therefore measures the scan-dominated serving
+    — what fusion shares is everything *around* it: the task message,
+    worker-side decode, task dispatch and result round-trips (and the
+    equality members' ``SubstringIndex``), all paid once instead of Q
+    times.  This table therefore measures the scan-dominated serving
     regime those shared costs govern; on workloads where per-query
     evaluation dwarfs the scan, fusion is byte-identical but roughly
     cost-neutral (the README's decision table spells this out).
@@ -450,7 +418,7 @@ def _run_e13j():
         "per-query tuple sequences asserted byte-identical fused vs "
         "sequential vs serial at every Q; anchored probes exit the "
         "sweep on the first character, so the measured cost is the "
-        "shared scan machinery (transport, decode, dispatch) the "
+        "shared scan machinery (task message, decode, dispatch) the "
         "sequential path pays Q times; Q=1 routes through the same "
         "plan_submission decision point and degrades to one sequential "
         "scan (speedup ~1 by construction) — target: fused beats Q "
@@ -517,13 +485,12 @@ def _run_e13h():
     """E13h: the price of resource governance on the healthy path.
 
     The E13a workload on a 2-worker fleet with the whole governance
-    layer armed — shm byte budget, per-query result caps, the worker
-    memory watchdog, compile-time admission with a sandboxed compile —
+    layer armed — per-query result caps, the worker memory watchdog, compile-time admission with a sandboxed compile —
     at limits far above what the workload needs, versus a fleet with
     every knob off.  Nothing trips (the governance counters are
     asserted 0), so the delta is the per-task cost of *checking*:
     cap bookkeeping in the enumeration loop, one RSS read per
-    heartbeat, budget arithmetic per pack.  Target <= 1% — cheaper
+    heartbeat.  Target <= 1% — cheaper
     than E13g's deadlines because the checks ride existing loops.
     """
     automaton = workload_automaton()
@@ -531,10 +498,9 @@ def _run_e13h():
         "E13h  resource-governance overhead (2-worker fleet, E13a "
         "workload): all limits off vs armed-but-generous",
         ["docs", "off (s)", "on (s)", "off docs/s", "on docs/s",
-         "overhead %", "degraded", "truncated"],
+         "overhead %", "truncated"],
     )
     governed = dict(
-        shm_budget=256 * 1024 * 1024,
         max_tuples=10_000_000,
         max_result_bytes=1 << 30,
         on_result_limit="truncate",
@@ -559,7 +525,6 @@ def _run_e13h():
                 )
                 resources = service.health()["resources"]
                 counters[label] = (
-                    resources["degraded_to_pipe"],
                     resources["docs_truncated"],
                     resources["tasks_result_limited"],
                     resources["queries_rejected"],
@@ -568,19 +533,19 @@ def _run_e13h():
                 )
             assert out == serial, f"governance={label} output diverged"
             timings[label] = elapsed
-        assert counters["on"] == (0, 0, 0, 0, 0, 0), (
+        assert counters["on"] == (0, 0, 0, 0, 0), (
             f"generous limits tripped on the healthy path: {counters['on']}"
         )
         overhead = (timings["on"] / timings["off"] - 1.0) * 100.0
         table.add(
             n_docs, timings["off"], timings["on"],
             n_docs / timings["off"], n_docs / timings["on"],
-            overhead, counters["on"][0], counters["on"][1],
+            overhead, counters["on"][0],
         )
     table.note(
         "identical tuple sequences asserted with governance on and off; "
         "limits are set far above the workload so every governance "
-        "counter (degradations, truncations, result-limit failures, "
+        "counter (truncations, result-limit failures, "
         "rejections, memory recycles/kills) must read 0 — target: "
         "<= 1% overhead with all limits armed (best-of-5 passes per "
         "cell; single-pass noise on shared runners is wider than the "
@@ -598,9 +563,8 @@ def _run_e13i():
     the compile time divided by one checksummed read.  This is also
     exactly the ``SpannerService.restore()`` revival path, so the warm
     column doubles as the restart-latency-per-query trajectory.  Store
-    hits must equal 1 per warm register and the corrupt/orphan counters
-    must read 0 — nonzero means the benchmark ran against a damaged
-    cache or a crash-littered ``/dev/shm``.
+    hits must equal 1 per warm register and the corrupt counter must
+    read 0 — nonzero means the benchmark ran against a damaged cache.
     """
     import tempfile
 
@@ -611,7 +575,7 @@ def _run_e13i():
         "E13i  durable artifact store (FileStore): cold register "
         "(compile + put) vs warm register (fingerprint hit, no compile)",
         ["source", "cold (s)", "warm (s)", "speedup",
-         "hits", "corrupt", "orphans"],
+         "hits", "corrupt"],
     )
     sources = [
         ("dictionary formula", _dict_spanner(DICTIONARY)),
@@ -640,81 +604,22 @@ def _run_e13i():
                     elapsed, warm_qid = _timed(
                         lambda: service.register(source)
                     )
-                    orphans = service.health()["resources"]["orphans_swept"]
                 warm_best = min(warm_best, elapsed)
                 stats = store.stats()
                 assert warm_qid == qid, "warm register produced a new id"
                 assert stats["hits"] == 1 and stats["puts"] == 0
             table.add(
                 name, cold_best, warm_best, cold_best / warm_best,
-                stats["hits"], stats["corrupt_quarantined"], orphans,
+                stats["hits"], stats["corrupt_quarantined"],
             )
     table.note(
         "identical query ids asserted cold vs warm (the id fingerprints "
         "the artifact payload, so a matching id means byte-identical "
         "artifacts); hits must read 1 per warm register and "
-        "corrupt/orphans 0 — the warm column is also the per-query "
+        "corrupt 0 — the warm column is also the per-query "
         "revival cost of SpannerService.restore()"
     )
     return table
-
-
-def _run_e13f():
-    """E13f: pipe vs shared-memory document transport at 4 workers.
-
-    ``None`` (table skipped, never recorded wrong) where POSIX shared
-    memory is unavailable.
-    """
-    from repro.runtime import shm_available
-
-    if not shm_available():  # pragma: no cover - POSIX-less runners
-        return None
-    table = Table(
-        "E13f  document transport (in-memory corpora, 4 workers): "
-        "task pipe vs shared-memory segments by document size",
-        ["doc KiB", "docs", "pipe (s)", "shm (s)",
-         "pipe docs/s", "shm docs/s", "shm speedup"],
-    )
-    probe = CompiledSpanner("x{" + TRANSPORT_NEEDLE + "}")
-    for doc_kib, n_docs in ((4, 96), (64, 48), (256, 24)):
-        docs = transport_corpus(n_docs, doc_kib * 1024)
-        serial = list(probe.evaluate_many(docs))
-        timings = {}
-        for mode in ("pipe", "shm"):
-            with ParallelSpanner(
-                probe, workers=4, chunk_size=4, transport=mode
-            ) as engine:
-                list(engine.evaluate_many(docs))  # warm: fleet started
-                elapsed, out = _timed_best(
-                    lambda: list(engine.evaluate_many(docs)), repeat=2
-                )
-            assert out == serial, f"{mode} transport output diverged"
-            timings[mode] = elapsed
-        # "auto" must negotiate per chunk and still match byte-for-byte.
-        with ParallelSpanner(
-            probe, workers=4, chunk_size=4, transport="auto"
-        ) as engine:
-            assert list(engine.evaluate_many(docs)) == serial, (
-                "auto transport output diverged"
-            )
-        table.add(
-            doc_kib, n_docs, timings["pipe"], timings["shm"],
-            n_docs / timings["pipe"], n_docs / timings["shm"],
-            timings["pipe"] / timings["shm"],
-        )
-    table.note(
-        "anchored probe query: the sweep exits on the first character, "
-        "so docs/sec measures the transport itself; outputs asserted "
-        "identical across serial/pipe/shm/auto at every size (planted "
-        "full-match documents keep them nonempty); target: shm beats "
-        "pipe from 64 KiB documents up"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# pytest checks / micro-benchmarks
-# ---------------------------------------------------------------------------
 
 
 def test_e13_speedup_and_equality():
@@ -845,41 +750,10 @@ def test_e13_fleet_recycle_identical():
         assert service.workers_recycled > 0
 
 
-def test_e13_shm_transport_parity_two_workers():
-    """CI smoke: a 2-worker shard over forced shared-memory transport
-    must reproduce the serial output byte-for-byte — on a real
-    extraction workload, not the E13f probe — and leave no segment
-    behind in ``/dev/shm`` after the fleet closes.
-    """
-    import glob
-    import os
-
-    import pytest
-
-    from repro.runtime import shm_available
-
-    if not shm_available():
-        pytest.skip("POSIX shared memory unavailable on this platform")
-    automaton = workload_automaton()
-    # ~4 KiB documents assembled from log lines: big enough that shm
-    # genuinely carries the bytes, small enough to evaluate quickly.
-    lines = log_corpus(240)
-    docs = [" ".join(lines[i : i + 48]) for i in range(0, 240, 48)] * 4
-    serial = list(CompiledSpanner(automaton).evaluate_many(docs))
-    with ParallelSpanner(
-        automaton, workers=2, chunk_size=2, transport="shm"
-    ) as engine:
-        shard = list(engine.evaluate_many(docs))
-    assert _canonical(shard) == _canonical(serial)
-    if os.path.isdir("/dev/shm"):
-        leftovers = glob.glob("/dev/shm/sjdoc-*")
-        assert not leftovers, f"leaked shm segments: {leftovers}"
-
-
 def test_e13_governed_fleet_identical():
     """CI smoke: a fleet with the whole governance layer armed at
-    generous limits — shm budget, result caps, memory watchdog,
-    compile admission — must match the ungoverned serial output
+    generous limits — result caps, memory watchdog, compile
+    admission — must match the ungoverned serial output
     byte-for-byte with every governance counter at 0.  Identity
     asserts only, no wall-clock bound (the overhead timing lives in
     the E13h table); this is the guard against governance checks
@@ -891,7 +765,6 @@ def test_e13_governed_fleet_identical():
     with SpannerService(
         workers=2,
         chunk_size=16,
-        shm_budget=256 * 1024 * 1024,
         max_tuples=10_000_000,
         max_result_bytes=1 << 30,
         on_result_limit="truncate",
@@ -904,7 +777,6 @@ def test_e13_governed_fleet_identical():
         out = service.submit(docs, queries=qid).result()
         resources = service.health()["resources"]
     assert _canonical(out) == _canonical(serial)
-    assert resources["degraded_to_pipe"] == 0
     assert resources["docs_truncated"] == 0
     assert resources["tasks_result_limited"] == 0
     assert resources["queries_rejected"] == 0

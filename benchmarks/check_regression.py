@@ -17,7 +17,7 @@ Default gates:
 * ``e13j-fused-speedup`` — median ``fused speedup`` of the E13j table
   (higher is better): fused multi-query serving must keep beating Q
   sequential scans; a slide toward 1.0 means fused tasks lost their
-  shared transport/dispatch advantage.
+  shared task-message/dispatch advantage.
 * ``peak-rss-kib`` / ``peak-rss-children-kib`` — the run's peak
   resident-set high-water marks (max over the recorded experiments;
   lower is better): the memory trajectory PR 3 started stamping.
@@ -43,14 +43,15 @@ the gate is skipped with a clear message and exit 0, never a crash.
 Besides the gates, the checker reports (informationally, never as an
 exit-code failure) the newest record's fleet fault counters — the
 ``timeouts`` / ``quarantines`` columns of the E13g table — its
-resource-governance counters — the ``degraded`` / ``truncated``
-columns of the E13h table — and its durable-store counters — the
-``hits`` / ``corrupt`` / ``orphans`` columns of the E13i table.  All
-three runs are the healthy path, so every fault counter must read 0
-(and E13i's ``hits`` must be nonzero); a nonzero total flags the
-record's timings as contaminated by deadline retries (E13g), limit
-trips (E13h) or cache/crash recovery work (E13i).  Records predating
-a table simply skip that report.
+resource-governance counters — the ``truncated`` column of the E13h
+table — and its durable-store counters — the ``hits`` / ``corrupt``
+columns of the E13i table.  All three runs are the healthy path, so
+every fault counter must read 0 (and E13i's ``hits`` must be nonzero);
+a nonzero total flags the record's timings as contaminated by deadline
+retries (E13g), limit trips (E13h) or cache/crash recovery work
+(E13i).  Records predating a table simply skip that report.  Records
+from before the shared-memory transport's removal also carry E13h's
+``degraded`` and E13i's ``orphans`` columns, reported when present.
 
 Timing on shared CI runners is noisy; 30% is deliberately far above
 run-to-run jitter (single-digit percents on these workloads) so the
@@ -137,7 +138,8 @@ def table_total(
 #: Fault-tolerance counters stamped into the E13g table since PR 6.
 FLEET_COUNTER_COLUMNS = ("timeouts", "quarantines")
 
-#: Resource-governance counters stamped into the E13h table since PR 7.
+#: Resource-governance counters stamped into the E13h table since PR 7
+#: (``degraded`` only until the shared-memory transport was removed).
 RESOURCE_COUNTER_COLUMNS = ("degraded", "truncated")
 
 
@@ -173,10 +175,10 @@ def report_resource_counters(records: list[tuple[str, dict]]) -> None:
     """Informational: the newest record's governance counters.
 
     The E13h table arms every resource limit at values far above the
-    workload, so both counters must read 0; a nonzero value means a
+    workload, so its counters must read 0; a nonzero value means a
     limit tripped *during the benchmark run* — its "on" timings then
-    include pipe fallbacks or truncated enumerations and the measured
-    overhead is not the healthy-path cost.  A data-quality notice for
+    include truncated enumerations (or, in older records, pipe
+    fallbacks) and the measured overhead is not the healthy-path cost.  A data-quality notice for
     the trajectory reader — never an exit-code failure, and records
     predating E13h stay silent.
     """
@@ -188,7 +190,9 @@ def report_resource_counters(records: list[tuple[str, dict]]) -> None:
     if all(value is None for value in totals.values()):
         return  # record predates the E13h table
     rendered = ", ".join(
-        f"{column}={int(value or 0)}" for column, value in totals.items()
+        f"{column}={int(value)}"
+        for column, value in totals.items()
+        if value is not None
     )
     print(
         f"perf-trajectory [resource-counters]: newest {newest_name}: "
@@ -198,12 +202,13 @@ def report_resource_counters(records: list[tuple[str, dict]]) -> None:
         print(
             "  notice: nonzero governance counters — a resource limit "
             "tripped during the benchmark run, so its governed timings "
-            "include degraded transport or truncated results; the "
+            "include truncated results (or degraded transport); the "
             "measured overhead is not the healthy-path cost"
         )
 
 
-#: Durable-store health counters stamped into the E13i table since PR 8.
+#: Durable-store health counters stamped into the E13i table since PR 8
+#: (``orphans`` only until the shared-memory transport was removed).
 STORE_COUNTER_COLUMNS = ("hits", "corrupt", "orphans")
 
 
@@ -212,11 +217,11 @@ def report_store_counters(records: list[tuple[str, dict]]) -> None:
 
     The E13i table registers each query once cold and once warm through
     a fresh FileStore, so ``hits`` must equal the number of rows while
-    ``corrupt`` and ``orphans`` must read 0 — a nonzero ``corrupt``
-    means the benchmark revived (and silently recompiled past) a
-    damaged cache entry, and a nonzero ``orphans`` means the runner's
-    ``/dev/shm`` held leftovers of an earlier crashed run that the
-    startup sweep had to reap.  Either way the warm timings are
+    ``corrupt`` (and, in older records, ``orphans``) must read 0 — a
+    nonzero ``corrupt`` means the benchmark revived (and silently
+    recompiled past) a damaged cache entry, and a nonzero ``orphans``
+    meant the runner's ``/dev/shm`` held leftovers of an earlier
+    crashed run that the startup sweep had to reap.  Either way the warm timings are
     contaminated by recovery work.  A data-quality notice for the
     trajectory reader — never an exit-code failure, and records
     predating E13i stay silent.
@@ -229,7 +234,9 @@ def report_store_counters(records: list[tuple[str, dict]]) -> None:
     if all(value is None for value in totals.values()):
         return  # record predates the E13i table
     rendered = ", ".join(
-        f"{column}={int(value or 0)}" for column, value in totals.items()
+        f"{column}={int(value)}"
+        for column, value in totals.items()
+        if value is not None
     )
     print(f"perf-trajectory [store-counters]: newest {newest_name}: {rendered}")
     if totals.get("corrupt") or totals.get("orphans"):

@@ -16,11 +16,10 @@ an error-code extractor and a *string-equality* (dedup) query running
 the fused equality runtime — and serves them all from one 2-worker
 fleet, first through sync futures, then through asyncio — prints the
 ``health()`` snapshot a liveness endpoint would poll (including its
-``resources`` section: shm bytes against the budget, per-worker RSS
-and the governance counters) — demonstrates the resource-governance
-layer (result caps with the ``truncate`` policy, compile-time
-admission control) — then serves a final batch across a forced worker
-recycle.
+``resources`` section: per-worker RSS and the governance counters) —
+demonstrates the resource-governance layer (result caps with the
+``truncate`` policy, compile-time admission control) — then serves a
+final batch across a forced worker recycle.
 """
 
 import asyncio
@@ -136,8 +135,7 @@ def main() -> None:
             f"quarantined={list(health['quarantined_queries']) or 'none'}"
         )
         print(f"  counters: {health['counters']}")
-        # The resource-governance view: shm bytes against the budget,
-        # degraded-to-pipe episodes, per-worker RSS, and the
+        # The resource-governance view: per-worker RSS and the
         # truncation / rejection / memory-recycle counters.
         res = health["resources"]
         rss = {
@@ -145,13 +143,7 @@ def main() -> None:
             for wid, v in res["worker_rss_bytes"].items()
         }
         print(
-            f"  resources: shm_in_flight={res['shm_bytes_in_flight']} "
-            f"shm_pooled={res['shm_bytes_pooled']} "
-            f"budget={res['shm_budget'] or 'unlimited'} "
-            f"degraded_to_pipe={res['degraded_to_pipe']}"
-        )
-        print(
-            f"             worker_rss={rss} "
+            f"  resources: worker_rss={rss} "
             f"truncated={res['docs_truncated']} "
             f"result_limited={res['tasks_result_limited']} "
             f"rejected={res['queries_rejected']} "

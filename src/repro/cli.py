@@ -13,18 +13,16 @@ Subcommands:
   artifact at most once; output order and content are identical to the
   serial run, and with ``--file`` inputs only the *paths* are shipped
   (each worker reads its own documents, so document bytes never ride
-  the task pipe); ``--transport {auto,shm,pipe}`` picks how in-memory
-  documents reach workers (shared-memory segments vs the task pipe),
-  and ``--encoding``/``--errors`` decode legacy corpora without
-  crashing mid-stream; ``--task-timeout`` bounds every dispatched
-  chunk (a hung worker is killed and replaced instead of stalling the
-  run) and ``--on-overload`` picks the load-shedding policy; the
-  resource-governance knobs (``--shm-budget``, ``--max-tuples`` /
+  the task pipe), and ``--encoding``/``--errors`` decode legacy
+  corpora without crashing mid-stream; ``--task-timeout`` bounds every
+  dispatched chunk (a hung worker is killed and replaced instead of
+  stalling the run) and ``--on-overload`` picks the load-shedding
+  policy; the resource-governance knobs (``--max-tuples`` /
   ``--max-result-bytes`` / ``--on-result-limit``,
   ``--worker-memory-limit``, ``--max-compile-states`` /
-  ``--compile-timeout``) bound shared memory, per-document output
-  volume, worker RSS and compile time, degrading or rejecting
-  gracefully instead of dying;
+  ``--compile-timeout``) bound per-document output volume, worker RSS
+  and compile time, truncating or rejecting gracefully instead of
+  dying;
 * ``query`` — evaluate a regex CQ given repeated ``--atom`` formulas,
   an optional ``--head`` and optional ``--equal`` groups; with several
   ``--file`` arguments the per-query compilation is shared across the
@@ -42,8 +40,7 @@ Subcommands:
   ``cache ls --dir DIR`` lists a compiled-artifact cache's entries
   (and quarantined corpses), ``cache verify --dir DIR`` integrity-
   checks every entry without modifying anything (exit 1 when corrupt
-  entries exist), and ``cache gc [--dir DIR]`` sweeps shared-memory
-  segments orphaned by dead drivers plus (with ``--dir``) the cache's
+  entries exist), and ``cache gc --dir DIR`` deletes the cache's
   quarantined files.  ``extract``/``query`` grow ``--artifact-cache
   DIR``: fleet runs consult the cache before compiling each formula
   (warm start across CLI invocations) and persist what they compile.
@@ -166,7 +163,7 @@ def _read_file_text(
     and exits 2 instead of dumping a traceback mid-stream.
     """
     try:
-        from .runtime.transport import read_document
+        from .runtime.backends.worker import read_document
 
         return read_document(path, encoding=encoding, errors=errors)
     except OSError as err:
@@ -636,7 +633,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect/maintain the artifact cache and orphaned shm segments."""
+    """Inspect/maintain the artifact cache."""
     from .runtime.store import FileStore
 
     store = None
@@ -648,7 +645,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"cannot open artifact cache {args.dir}: "
                 f"{err.strerror or err}"
             ) from err
-    if args.action in ("ls", "verify") and store is None:
+    if store is None:
         raise SpannerError(f"cache {args.action} needs --dir DIR")
     if args.action == "ls":
         for key, size, _mtime in store.entries():
@@ -671,18 +668,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             )
             return 1
         return 0
-    # gc: shm orphans always; quarantined cache files only with --dir.
-    from .runtime.transport import sweep_orphaned_segments
-
-    swept = sweep_orphaned_segments()
-    for name in swept:
-        print(f"{name}\tswept")
-    removed = store.gc_quarantined() if store is not None else 0
-    print(
-        f"# swept {len(swept)} orphaned shm segments, "
-        f"removed {removed} quarantined cache files",
-        file=sys.stderr,
-    )
+    removed = store.gc_quarantined()
+    print(f"# removed {removed} quarantined cache files", file=sys.stderr)
     return 0
 
 
@@ -732,17 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument(
-            "--transport",
-            choices=("auto", "shm", "pipe"),
-            default="auto",
-            help=(
-                "how --workers ships in-memory documents: auto "
-                "(shared memory above a size threshold, pipe below), "
-                "shm (always shared memory), pipe (always the task "
-                "pipe); --file corpora ship paths either way"
-            ),
-        )
-        p.add_argument(
             "--backend",
             choices=("auto", "serial", "thread", "process"),
             default="auto",
@@ -773,16 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "what a --workers fleet does when its in-flight bound "
                 "is hit: block submission (default), shed the oldest "
                 "queued chunk, or reject the new one"
-            ),
-        )
-        p.add_argument(
-            "--shm-budget",
-            type=int,
-            metavar="BYTES",
-            help=(
-                "byte budget for the shared-memory transport; chunks "
-                "the budget (or /dev/shm) cannot fit fall back to the "
-                "task pipe, never fail (default: unbounded)"
             ),
         )
         p.add_argument(
@@ -957,10 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help=(
-            "inspect/maintain durable runtime state: artifact caches "
-            "and orphaned shared-memory segments"
-        ),
+        help="inspect/maintain the durable artifact cache",
     )
     p_cache.add_argument(
         "action",
@@ -968,14 +931,13 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "ls: list cache entries and quarantined corpses; verify: "
             "integrity-check every entry read-only (exit 1 on "
-            "corruption); gc: unlink shm segments whose driver is dead "
-            "and, with --dir, delete quarantined cache files"
+            "corruption); gc: delete quarantined cache files"
         ),
     )
     p_cache.add_argument(
         "--dir",
         metavar="DIR",
-        help="artifact-cache directory (required for ls/verify)",
+        help="artifact-cache directory (required)",
     )
     p_cache.set_defaults(func=_cmd_cache)
 

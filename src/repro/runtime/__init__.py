@@ -16,10 +16,6 @@
   (:func:`equality_join`, never materializing Theorem 5.4's per-string
   ``A_eq``) and :class:`CompiledEqualityQuery`, its ship-to-workers
   per-query artifact;
-* :mod:`.transport` — the shared-memory document transport: chunked
-  corpora packed into ref-counted ``multiprocessing.shared_memory``
-  segments with explicit owner-unlinks (plus the ``mmap`` read path
-  for huge file-backed documents);
 * :mod:`.config` — :class:`FleetConfig`, the one frozen declaration
   (defaults, validation, documentation) of the fleet's plain-value
   knobs, shared by :class:`SpannerService`, :class:`ParallelSpanner`,
@@ -28,9 +24,8 @@
   worker fleet serving *multiple* registered queries (keyed by query
   fingerprint into each worker's engine table) with worker recycling,
   crash re-dispatch with backoff, per-task deadlines over a heartbeat
-  channel, per-query quarantine breakers, overload shedding policies,
-  an asyncio front-end and transport negotiation
-  (``transport={"auto","shm","pipe"}``);
+  channel, per-query quarantine breakers, overload shedding policies
+  and an asyncio front-end;
 * :mod:`.store` — :class:`ArtifactStore` / :class:`MemoryStore` /
   :class:`FileStore`, the crash-safe fingerprint-keyed store of
   compiled artifacts behind warm ``register()`` starts and
@@ -45,7 +40,7 @@
   :meth:`SpannerService.extract_all`;
 * :mod:`.faults` — :class:`FaultPlan` / :class:`FaultSpec`, the
   deterministic fault-injection harness the chaos suite threads into
-  fleet workers (hangs, crashes, slow decodes, shm attach failures at
+  fleet workers (hangs, crashes, slow decodes, transient failures at
   chosen task indices; since PR 8 also torn/corrupt store writes and
   driver kills for the crash-recovery suite);
 * :mod:`.backends` — the pluggable compute layer under the service:
@@ -88,10 +83,6 @@ __all__ = [
     "LRUCache",
     "cache_metrics",
     "compilation_cache",
-    "SharedMemoryTransport",
-    "TransportUnavailableError",
-    "shm_available",
-    "sweep_orphaned_segments",
     "FaultPlan",
     "FaultSpec",
     "BACKEND_NAMES",
@@ -136,11 +127,6 @@ def __getattr__(name: str):
         from .equality import equality_join
 
         return equality_join
-    if name in ("SharedMemoryTransport", "TransportUnavailableError",
-                "shm_available", "sweep_orphaned_segments"):
-        from . import transport
-
-        return getattr(transport, name)
     if name in ("FaultPlan", "FaultSpec"):
         from . import faults
 

@@ -61,7 +61,7 @@ def default_backend_name() -> str:
 
     Free-threaded builds (PEP 703, ``python3.13t``) run threads on all
     cores with no GIL, so a thread pool gives process-level parallelism
-    without pickling, process spawn or shm transport — the right
+    without pickling or process spawn — the right
     default there.  On GIL builds, processes remain the only route to
     real CPU parallelism.
     """
@@ -180,9 +180,6 @@ class ComputeBackend(ABC):
     * ``supports_kill`` — whether a hung worker can be killed and
       replaced mid-task; without it the driver's deadline scan is
       disabled (there is nothing it could do past the deadline);
-    * ``uses_wire_transport`` — whether task payloads cross an address
-      space, i.e. whether the shared-memory document transport and
-      pickled artifacts apply at all;
     * ``inline`` — dispatch executes the task synchronously inside
       :meth:`dispatch` (the serial backend), so the driver should
       drain results immediately after dispatching instead of waiting a
@@ -192,7 +189,6 @@ class ComputeBackend(ABC):
     name: str
     worker_model: str
     supports_kill: bool
-    uses_wire_transport: bool
     inline: bool = False
 
     def start(self) -> None:

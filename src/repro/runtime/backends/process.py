@@ -210,7 +210,6 @@ class ProcessBackend(ComputeBackend):
     name = "process"
     worker_model = "process"
     supports_kill = True
-    uses_wire_transport = True
 
     def __init__(
         self,

@@ -64,7 +64,6 @@ class SerialBackend(ComputeBackend):
     name = "serial"
     worker_model = "inline"
     supports_kill = False  # the worker IS the caller; nothing to kill
-    uses_wire_transport = False
     inline = True
 
     def __init__(

@@ -4,8 +4,8 @@ One address space changes the economics the process backend pays for:
 the compile-once artifact is materialized *once per query per service*
 and every worker reads the same engine object (safe because a
 materialized automaton is immutable except for the ``_burst`` memo — a
-benign-race dict of immutable tuples), documents need no shared-memory
-transport, and results cross a plain in-process queue.  On free-threaded
+benign-race dict of immutable tuples), documents are passed by
+reference, and results cross a plain in-process queue.  On free-threaded
 builds (PEP 703) this buys process-level parallelism without spawn or
 IPC cost; on GIL builds it still wins for debugging and small-document
 latency, just not for CPU-bound throughput.
@@ -72,7 +72,6 @@ class ThreadBackend(ComputeBackend):
     name = "thread"
     worker_model = "thread"
     supports_kill = True  # kill == abandon; see the module docstring
-    uses_wire_transport = False
 
     def __init__(
         self,

@@ -12,8 +12,9 @@ here is substrate-blind.
 Wire format.  Tasks are ``("task", task_id, attempt, query_id, payload,
 op, items, extra, caps)`` with ``op`` one of:
 
-* ``evaluate`` — ``items`` are documents (or a :class:`ShmChunk`);
-* ``files`` — ``items`` are paths, read worker-side;
+* ``evaluate`` — ``items`` are documents;
+* ``files`` — ``items`` are paths, read worker-side by
+  :func:`read_document`;
 * ``count`` — documents, one distinct-tuple count each (``extra`` is
   the count cap).
 
@@ -30,6 +31,7 @@ exc)`` (a ``count`` task answers with its one ``ok`` slot), and
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import time
@@ -40,7 +42,6 @@ from ..compiled import CompiledSpanner
 from ..faults import flood_stream
 from ..fusion import FusedEngine, FusedQuery
 from ..tables import AutomatonTables
-from ..transport import ShmChunk, open_chunk, read_document, release_chunk
 from .base import HEARTBEAT_MEMBER, stamp_heartbeat
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "enumerate_capped",
     "materialize",
     "materialize_payload",
+    "read_document",
     "run_count",
     "run_members",
     "run_task",
@@ -177,7 +179,7 @@ def materialize_payload(payload: object) -> object:
 
 
 def run_count(
-    engine, items: "list[str] | ShmChunk", cap: int | None
+    engine, items: "list[str]", cap: int | None
 ) -> tuple[list, int]:
     """One ``count`` task: a distinct-tuple count per document.
 
@@ -185,18 +187,14 @@ def run_count(
     tuples it counts.  Returns the one-member payload ``[("ok", counts,
     0)]`` and zero truncations.
     """
-    docs = open_chunk(items)
-    try:
-        return [("ok", [engine.count(doc, cap=cap) for doc in docs], 0)], 0
-    finally:
-        release_chunk(docs)
+    return [("ok", [engine.count(doc, cap=cap) for doc in items], 0)], 0
 
 
 def run_members(
     engine,
     query_id: str,
     op: str,
-    items: "list[str] | ShmChunk",
+    items: "list[str]",
     extra: int | None,
     encoding: str,
     errors: str,
@@ -209,14 +207,12 @@ def run_members(
 
     ``engine`` is a :class:`~repro.runtime.fusion.FusedEngine` or, for a
     one-member task, the query's own engine (served as the member
-    ``query_id``).  ``items`` is the plain document/path list the pipe
-    carried or a :class:`ShmChunk` reference (decoded lazily, released
-    before the result ships back); ``files`` items are paths read
-    worker-side.  Per document, each member's stream is enumerated under
-    that *member's* resolved result cap — ``caps`` is a per-member tuple
-    of ``(max_tuples, max_result_bytes, policy)`` or ``None``, the
-    uncapped fast path — and ``extra`` is the caller's per-document
-    ``limit``.
+    ``query_id``).  ``items`` is the document list the task carried, or
+    for ``files`` the paths read worker-side.  Per document, each
+    member's stream is enumerated under that *member's* resolved result
+    cap — ``caps`` is a per-member tuple of ``(max_tuples,
+    max_result_bytes, policy)`` or ``None``, the uncapped fast path —
+    and ``extra`` is the caller's per-document ``limit``.
 
     The return payload is one entry per member: ``("ok", per_doc_lists,
     truncated_docs)`` for members that completed, ``("err", exc)`` for
@@ -239,62 +235,93 @@ def run_members(
     else:
         member_ids = (query_id,)
         streams_for = lambda doc: [engine.stream(doc)]  # noqa: E731
-    docs = open_chunk(items)
     m_count = len(member_ids)
     member_caps = caps if caps is not None else (None,) * m_count
     per_doc: list[list] = [[] for _ in range(m_count)]
     errs: list = [None] * m_count
     truncated = [0] * m_count
     live = m_count  # members without an error yet
-    try:
-        for item in docs:
-            if not live:
-                break  # every member failed: the rest is unread
-            _stamp_member(heartbeat, -1.0)
-            if op == "files":
-                # Only paths crossed the pipe (huge files decode
-                # straight from mmap).
-                doc = read_document(item, encoding=encoding, errors=errors)
-            else:
-                doc = item
-            streams = streams_for(doc)
-            for m, stream in enumerate(streams):
-                if errs[m] is not None:
-                    continue
-                _stamp_member(heartbeat, float(m))
-                if fault_ctx is not None:
-                    plan, task_id, attempt, inline = fault_ctx
-                    plan.apply_member(
-                        task_id, attempt, member_ids[m], inline=inline
-                    )
-                if flood is not None:
-                    stream = flood_stream(stream, flood)
-                try:
-                    # Enumeration stops (polynomial delay) at whichever
-                    # bound bites first instead of materializing
-                    # combinatorially many tuples only to discard them.
-                    tuples, cut = enumerate_capped(
-                        stream, extra, member_caps[m]
-                    )
-                except Exception as err:
-                    errs[m] = _picklable(err)
-                    live -= 1
-                    continue
-                per_doc[m].append(tuples)
-                truncated[m] += cut
+    for item in items:
+        if not live:
+            break  # every member failed: the rest is unread
         _stamp_member(heartbeat, -1.0)
-        out = [
-            ("err", errs[m])
-            if errs[m] is not None
-            else ("ok", per_doc[m], truncated[m])
-            for m in range(m_count)
-        ]
-        total_truncated = sum(
-            truncated[m] for m in range(m_count) if errs[m] is None
-        )
-        return out, total_truncated
-    finally:
-        release_chunk(docs)
+        if op == "files":
+            # Only paths crossed the pipe (huge files decode straight
+            # from mmap).
+            doc = read_document(item, encoding=encoding, errors=errors)
+        else:
+            doc = item
+        streams = streams_for(doc)
+        for m, stream in enumerate(streams):
+            if errs[m] is not None:
+                continue
+            _stamp_member(heartbeat, float(m))
+            if fault_ctx is not None:
+                plan, task_id, attempt, inline = fault_ctx
+                plan.apply_member(
+                    task_id, attempt, member_ids[m], inline=inline
+                )
+            if flood is not None:
+                stream = flood_stream(stream, flood)
+            try:
+                # Enumeration stops (polynomial delay) at whichever
+                # bound bites first instead of materializing
+                # combinatorially many tuples only to discard them.
+                tuples, cut = enumerate_capped(
+                    stream, extra, member_caps[m]
+                )
+            except Exception as err:
+                errs[m] = _picklable(err)
+                live -= 1
+                continue
+            per_doc[m].append(tuples)
+            truncated[m] += cut
+    _stamp_member(heartbeat, -1.0)
+    out = [
+        ("err", errs[m])
+        if errs[m] is not None
+        else ("ok", per_doc[m], truncated[m])
+        for m in range(m_count)
+    ]
+    total_truncated = sum(
+        truncated[m] for m in range(m_count) if errs[m] is None
+    )
+    return out, total_truncated
+
+
+#: Files at least this large are decoded straight from an ``mmap``
+#: window instead of ``read()`` + decode (one copy, not two).
+MMAP_THRESHOLD = 4 * 1024 * 1024
+
+
+def read_document(
+    path: str,
+    *,
+    encoding: str = "utf-8",
+    errors: str = "strict",
+    mmap_threshold: int = MMAP_THRESHOLD,
+) -> str:
+    """Read one document, decoding huge files straight from ``mmap``.
+
+    Files of at least ``mmap_threshold`` bytes are mapped and decoded
+    from the mapping in one step (``str`` accepts any buffer), skipping
+    the intermediate ``bytes`` copy a plain ``read()`` materializes —
+    the worker-side path ``files`` tasks extend to huge single files.
+    Smaller files take the ordinary read.
+    """
+    if mmap_threshold is not None and mmap_threshold >= 0:
+        try:
+            size = os.path.getsize(path)
+        except OSError:
+            size = 0  # let open() raise the canonical error below
+        if size >= mmap_threshold and size > 0:
+            with open(path, "rb") as handle:
+                with mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
+                ) as window:
+                    return str(window, encoding, errors)
+    with open(path, encoding=encoding, errors=errors) as handle:
+        return handle.read()
 
 
 def _stamp_member(heartbeat, ordinal: float) -> None:

@@ -1,7 +1,7 @@
 """The fleet's plain-value knobs, declared and validated once.
 
 :class:`FleetConfig` is the single declaration of every JSON-safe knob
-that shapes a serving fleet — sizing, backend, transport, fault
+that shapes a serving fleet — sizing, backend, file decoding, fault
 tolerance, resource governance and admission control.
 :class:`~repro.runtime.service.SpannerService`,
 :class:`~repro.runtime.parallel.ParallelSpanner`,
@@ -19,7 +19,6 @@ import multiprocessing
 from dataclasses import dataclass, fields
 
 from .backends.base import BACKEND_NAMES
-from .transport import DEFAULT_SHM_THRESHOLD, check_transport_mode
 
 __all__ = [
     "FleetConfig",
@@ -54,10 +53,8 @@ _LOWER_BOUNDS = {
     "chunk_size": 1,
     "max_tasks_per_worker": 1,
     "max_in_flight": 1,
-    "shm_threshold": 0,
     "quarantine_after": 1,
     "quarantine_cooldown": 0,
-    "shm_budget": 1,
     "max_tuples": 1,
     "max_result_bytes": 1,
     "worker_memory_limit": 1,
@@ -76,9 +73,9 @@ class FleetConfig:
 
     A bracketed tag says which backends enforce a knob: *[all]*;
     *[process]* only — the serial and thread backends share the
-    driver's memory, so they have no task pipe to ship documents over
-    and no per-worker RSS to watch; or *[process, thread]* — the serial
-    backend runs tasks inline and has no worker to kill.
+    driver's memory, so they have no per-worker RSS to watch; or
+    *[process, thread]* — the serial backend runs tasks inline and has
+    no worker to kill.
 
     Sizing and substrate:
 
@@ -92,10 +89,10 @@ class FleetConfig:
     * ``max_in_flight`` — chunks in flight across the fleet before
       submission hits the ``on_overload`` policy; ``None`` is
       unbounded.  [all]
-    * ``backend`` — ``"process"`` (spawned worker processes; shm
-      transport, SIGKILL deadlines), ``"thread"`` (worker threads
-      sharing one materialized engine per query; no pickling, no shm),
-      ``"serial"`` (inline execution in the calling thread) or
+    * ``backend`` — ``"process"`` (spawned worker processes; documents
+      ride the pickled task message, SIGKILL deadlines), ``"thread"``
+      (worker threads sharing one materialized engine per query; no
+      pickling), ``"serial"`` (inline execution in the calling thread) or
       ``"auto"`` (default: thread on free-threaded interpreters,
       process otherwise; ``ParallelSpanner`` resolves it to serial at
       ``workers=1``).  Results are byte-identical across backends.
@@ -103,27 +100,12 @@ class FleetConfig:
       (``"fork"``, ``"spawn"``, ``"forkserver"``) or ``None`` for the
       platform default.  [process, and the ``compile_timeout`` compiler]
 
-    Document transport:
+    Documents:
 
-    * ``transport`` — how in-memory documents reach the workers:
-      ``"auto"`` (default: shared-memory segments for chunks whose
-      encoded payload reaches ``shm_threshold`` bytes, the task pipe
-      below it or where POSIX shm is missing), ``"shm"`` (always shared
-      memory; raises
-      :class:`~repro.runtime.transport.TransportUnavailableError` where
-      unsupported) or ``"pipe"`` (always the task message).  File paths
-      always ride the pipe — workers read those themselves.  [process]
-    * ``shm_threshold`` — the ``"auto"`` negotiation bound, in encoded
-      bytes per chunk (64 KiB).  [process]
-    * ``shm_budget`` — byte budget for the transport's segments
-      (in flight plus free pool); ``None`` is unbounded.  A chunk the
-      budget — or ``/dev/shm`` itself — cannot fit rides the pipe
-      instead: counted in ``health()``, never fatal, results
-      byte-identical.  [process]
     * ``encoding`` / ``errors`` — the codec and error handler workers
       read file-backed documents with (``"utf-8"`` / ``"strict"``).
-      In-memory documents are never re-encoded with them — the shm
-      transport uses its own fixed lossless wire codec.  [all]
+      In-memory documents are never re-encoded with them: they travel
+      as pickled ``str`` objects.  [all]
 
     Fault tolerance:
 
@@ -174,9 +156,7 @@ class FleetConfig:
 
     Raises ``ValueError`` for any out-of-range, unknown-choice or
     wrongly typed value — its message starts with the knob's name, which
-    the CLI maps back to the ``--flag`` — and
-    :class:`~repro.runtime.transport.TransportUnavailableError` for
-    ``transport="shm"`` where POSIX shared memory is missing.
+    the CLI maps back to the ``--flag``.
     """
 
     workers: int | None = None
@@ -185,15 +165,12 @@ class FleetConfig:
     max_in_flight: int | None = None
     backend: str = "auto"
     mp_context: str | None = None
-    transport: str = "auto"
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD
     encoding: str = "utf-8"
     errors: str = "strict"
     task_timeout: float | None = None
     quarantine_after: int = 3
     quarantine_cooldown: float = 30.0
     on_overload: str = "block"
-    shm_budget: int | None = None
     max_tuples: int | None = None
     max_result_bytes: int | None = None
     on_result_limit: str = "error"
@@ -247,7 +224,3 @@ class FleetConfig:
                     f"{name} must name a registered {what}, "
                     f"got {getattr(self, name)!r}"
                 ) from None
-        # Forcing shm where the platform lacks it is a config error too
-        # (TransportUnavailableError); checked without creating a
-        # transport, which would sweep /dev/shm as a side effect.
-        check_transport_mode(self.transport)

@@ -2,7 +2,7 @@
 
 The chaos suite in ``tests/test_faults.py`` needs to reproduce the
 failure modes the fleet defends against — hangs, crashes, slow decodes,
-shared-memory attach races — at *exactly* chosen points, every run.
+transient worker-side failures — at *exactly* chosen points, every run.
 Randomised chaos finds bugs once; deterministic chaos keeps them fixed.
 
 A :class:`FaultPlan` is a picklable map from **global task index** to a
@@ -23,10 +23,10 @@ shipped to every worker at spawn time and consulted once per attempt,
 ``slow``
     the worker sleeps briefly, then completes normally — simulates a
     slow decode; results must still be byte-identical.
-``shm_attach``
+``transient``
     the worker raises :class:`~repro.errors.TransientTaskError` —
-    simulates the shared-memory attach race where a segment is not yet
-    visible in the worker's namespace; the driver must re-dispatch.
+    simulates a failure that is nobody's fault and goes away on retry;
+    the driver must re-dispatch with backoff.
 
 PR 7 adds the *resource* faults the governance layer defends against:
 
@@ -41,13 +41,6 @@ PR 7 adds the *resource* faults the governance layer defends against:
     outputs Theorem 5.4 allows, deterministically, whatever the
     document; the result caps must fail (or truncate) exactly this
     task.
-``shm_enospc``
-    *driver-side*: chosen pack sequence numbers fail segment
-    allocation with a synthetic ``ENOSPC``
-    (:meth:`~repro.runtime.transport.SharedMemoryTransport.inject_enospc`),
-    so the pipe fallback is exercised without filling ``/dev/shm``.
-    Configured per *pack index*, not per task — packing happens on
-    submitter threads before a task exists.
 ``slow_compile``
     *driver-side*: every ``register()`` compilation sleeps first, so a
     ``compile_timeout`` fires deterministically.
@@ -68,10 +61,10 @@ against:
     the query — is exercised deterministically.
 ``driver_kill``
     *driver-side*: the **driver itself** takes ``SIGKILL`` after a
-    chosen number of completed tasks — mid-stream, with segments in
+    chosen number of completed tasks — mid-stream, with tasks in
     flight and futures unresolved.  This is the fault
-    ``SpannerService.restore()`` and the orphan janitor exist for; it
-    necessarily runs in a sacrificial subprocess.
+    ``SpannerService.restore()`` exists for; it necessarily runs in a
+    sacrificial subprocess.
 
 Each spec may be limited to specific *attempts* (1-based), so a plan
 can express "fail transiently on the first two attempts, succeed on
@@ -105,10 +98,10 @@ class _InjectedWorkerDeath(BaseException):
     """
 
 #: Recognised fault kinds, in the order the docstring introduces them.
-#: ``shm_enospc`` and ``slow_compile`` are consulted driver-side (plan
-#: fields, not task specs); the rest execute in the worker.
+#: ``slow_compile`` and the store/driver faults are consulted
+#: driver-side (plan fields, not task specs); these execute in the worker.
 FAULT_KINDS = (
-    "crash", "hang", "slow", "shm_attach", "rss_bloat", "tuple_flood",
+    "crash", "hang", "slow", "transient", "rss_bloat", "tuple_flood",
 )
 
 #: How long a "hang" sleeps.  Long enough that any test deadline fires
@@ -186,16 +179,14 @@ class FaultSpec:
                     f"injected crash (inline worker, attempt spec {self.attempts})"
                 )
             # A real segfault gives the interpreter no chance to flush,
-            # run atexit hooks, or release shm handles; _exit matches.
+            # run atexit hooks, or release handles; _exit matches.
             os._exit(CRASH_EXIT_CODE)
         elif self.kind == "hang":
             time.sleep(HANG_SECONDS if self.seconds is None else self.seconds)
         elif self.kind == "slow":
             time.sleep(0.05 if self.seconds is None else self.seconds)
-        elif self.kind == "shm_attach":
-            raise TransientTaskError(
-                "injected fault: shared-memory segment not attachable"
-            )
+        elif self.kind == "transient":
+            raise TransientTaskError("injected fault: transient failure")
         elif self.kind == "rss_bloat":
             # Leak on purpose: the watchdog watches RSS at task
             # boundaries, so the allocation must outlive the task.
@@ -217,15 +208,13 @@ class FaultPlan:
         plan = (FaultPlan()
                 .crash(task=3)
                 .hang(task=7)
-                .shm_fault(task=9, attempts=(1, 2)))
+                .transient_fault(task=9, attempts=(1, 2)))
 
     The plan is pickled into each worker at spawn; mutating it after
     the service starts has no effect on already-running workers.
 
     The driver-side faults live on the plan itself rather than in
-    ``specs``: ``enospc_packs`` names transport pack indices whose
-    segment allocation fails (consulted when the service wires its
-    transport), ``compile_delay`` makes every ``register()``
+    ``specs``: ``compile_delay`` makes every ``register()``
     compilation sleep first (consulted by the admission-control path),
     ``store_torn_puts``/``store_corrupt_puts`` name artifact-store put
     sequence numbers left torn / bit-flipped (wired into the service's
@@ -235,7 +224,6 @@ class FaultPlan:
     """
 
     specs: dict[int, FaultSpec] = field(default_factory=dict)
-    enospc_packs: frozenset = frozenset()
     compile_delay: float | None = None
     store_torn_puts: frozenset = frozenset()
     store_corrupt_puts: frozenset = frozenset()
@@ -279,10 +267,10 @@ class FaultPlan:
     ) -> "FaultPlan":
         return self.add(task, FaultSpec("slow", seconds=seconds, attempts=attempts))
 
-    def shm_fault(
+    def transient_fault(
         self, task: int, attempts: tuple[int, ...] | None = None
     ) -> "FaultPlan":
-        return self.add(task, FaultSpec("shm_attach", attempts=attempts))
+        return self.add(task, FaultSpec("transient", attempts=attempts))
 
     def rss_bloat(
         self,
@@ -303,14 +291,6 @@ class FaultPlan:
         return self.add(
             task, FaultSpec("tuple_flood", attempts=attempts, amount=amount)
         )
-
-    def shm_enospc(self, *packs: int) -> "FaultPlan":
-        """Fail segment allocation for these pack indices (0-based, in
-        transport pack order — submission order for one submitter)."""
-        if any(p < 0 for p in packs):
-            raise ValueError(f"pack indices must be >= 0, got {packs}")
-        self.enospc_packs = self.enospc_packs | frozenset(packs)
-        return self
 
     def slow_compile(self, seconds: float) -> "FaultPlan":
         """Make every ``register()`` compilation sleep first."""
@@ -340,8 +320,7 @@ class FaultPlan:
 
         The kill is unceremonious by design — no close(), no atexit, no
         finalizers — so only what was made durable *before* it (the
-        manifest, the artifact store) survives for ``restore()``, and
-        only the janitor can reclaim the session's segments.
+        manifest, the artifact store) survives for ``restore()``.
         """
         if after_tasks < 1:
             raise ValueError(f"after_tasks must be >= 1, got {after_tasks}")
@@ -409,7 +388,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return (
             bool(self.specs)
-            or bool(self.enospc_packs)
             or self.compile_delay is not None
             or bool(self.store_torn_puts)
             or bool(self.store_corrupt_puts)

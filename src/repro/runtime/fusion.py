@@ -2,8 +2,8 @@
 
 The serving fleet registers many queries; serving a batch to Q of them
 as Q separate submissions pays Q times for everything around the
-evaluation — chunk packing and transport, worker decode, dispatch, the
-result round-trip.  This module fuses a registered query *set* into a
+evaluation — the task message, worker decode, dispatch, the result
+round-trip.  This module fuses a registered query *set* into a
 single engine with the UCQ perspective of §2.3/Theorem 3.11: a union
 whose disjuncts stay tagged with the query they came from, each
 evaluated on its own, demultiplexed on the way out.
@@ -12,8 +12,8 @@ The per-document work is **not** shared: every member runs its own
 Theorem 3.3 sweep (:func:`repro.enumeration.graph.build_evaluation_graph`
 via :meth:`CompiledSpanner.stream`) and its own radix enumeration, so
 each member's tuple stream is byte-identical to a solo evaluation.
-What a fused task shares is the transport, decode, dispatch and result
-round-trips — and, for equality members, one per-document
+What a fused task shares is the task message, decode, dispatch and
+result round-trips — and, for equality members, one per-document
 :class:`~repro.text.substrings.SubstringIndex` (the rolling-hash index
 dominates their per-document setup).
 

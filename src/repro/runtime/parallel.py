@@ -51,11 +51,7 @@ When sharding pays off: the per-document win is (evaluation time) vs
 (IPC: one document in, its pickled tuples out), and the fixed cost is
 fleet startup plus one tables shipment per worker.  Corpora of
 hundreds of non-trivial documents amortize this easily; a handful of
-tiny documents will not — stay serial (``workers=1``) there.  How the
-document bytes travel is the ``transport`` knob: large in-memory
-chunks ride ref-counted shared-memory segments instead of the task
-pipe (:mod:`repro.runtime.transport`), file paths are read
-worker-side, and small chunks stay on the pipe.
+tiny documents will not — stay serial (``workers=1``) there.
 """
 
 from __future__ import annotations
@@ -292,10 +288,10 @@ class ParallelSpanner:
             # Abandoned mid-iteration (the consumer broke out of the
             # generator, or a chunk failed): cancel whatever is still
             # in flight so a persistent session starts its next call
-            # with a quiet fleet — no stale futures holding results,
-            # in-flight slots or shared-memory segments, and nothing
-            # for a later call to deadlock against.  Results workers
-            # still produce for these tasks resolve driver-side into
-            # already-cancelled futures and are dropped.
+            # with a quiet fleet — no stale futures holding results or
+            # in-flight slots, and nothing for a later call to deadlock
+            # against.  Results workers still produce for these tasks
+            # resolve driver-side into already-cancelled futures and are
+            # dropped.
             while pending:
                 pending.popleft().cancel()

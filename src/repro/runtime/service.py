@@ -23,17 +23,6 @@ fleet:
   engine table, so however many tasks it serves it compiles each query
   exactly once.  Re-registering an identical query is a no-op returning
   the same id.
-* **Shared-memory document transport.**  In-memory corpora do not have
-  to ride the task pipe: with ``transport="auto"`` (the default) a
-  chunk whose encoded payload clears a size threshold is packed into a
-  ref-counted ``multiprocessing.shared_memory`` segment
-  (:mod:`repro.runtime.transport`) and the task message carries only a
-  ``(segment, index)`` reference; workers decode documents lazily out
-  of the shared buffer and the driver unlinks each segment the moment
-  its task resolves — an explicit release handshake, no GC, no leaked
-  ``/dev/shm`` entries after crashes, recycles or abandoned sessions.
-  ``transport="shm"``/``"pipe"`` force either side; platforms without
-  POSIX shm fall back to the pipe under ``"auto"``.
 * **Graceful lifecycle.**  Workers are recycled after
   ``max_tasks_per_worker`` tasks (finish in-flight work, stop, get
   replaced — results stay byte-identical across a recycle); a worker
@@ -61,15 +50,13 @@ fleet:
   these failure modes deterministically for the chaos suite.
 * **Resource governance.**  The time-domain defenses above assume the
   fleet has memory to run in; the resource domain gets its own layer.
-  A ``shm_budget`` bounds the transport's segment bytes — a chunk the
-  budget (or ``/dev/shm`` itself) cannot fit degrades to the task pipe
-  for that chunk, counted, never fatal.  Per-document result caps
-  (``max_tuples`` / ``max_result_bytes``, service/query/call scoped)
-  stop the combinatorially large outputs Theorem 5.4 allows at the
-  enumeration boundary: ``on_result_limit="error"`` fails exactly that
-  task with :class:`~repro.errors.ResultLimitError` (never charging
-  the query's breaker — the *input* is indicted, not the fleet);
-  ``"truncate"`` returns the exact serial prefix, counted.  A memory
+  Per-document result caps (``max_tuples`` / ``max_result_bytes``,
+  service/query/call scoped) stop the combinatorially large outputs
+  Theorem 5.4 allows at the enumeration boundary:
+  ``on_result_limit="error"`` fails exactly that task with
+  :class:`~repro.errors.ResultLimitError` (never charging the query's
+  breaker — the *input* is indicted, not the fleet); ``"truncate"``
+  returns the exact serial prefix, counted.  A memory
   watchdog reads each worker's RSS off the heartbeat channel and
   drain-recycles past ``worker_memory_limit`` (hard-kills only past
   ``worker_memory_hard_limit``).  And ``register()`` practices
@@ -84,10 +71,10 @@ fleet:
   into one tagged engine (:mod:`repro.runtime.fusion`) that runs each
   member's own sweep per document, demultiplexed per query — per-query
   streams byte-identical (content and order) to Q sequential
-  submissions, with transport, decode, dispatch and result round-trips
-  paid once.  A solo submission is the one-member case of the same
-  task path, so every task rides the same deadline / result-cap /
-  breaker machinery; the heartbeat's member slot lets a fused failure
+  submissions, with the task message, decode, dispatch and result
+  round-trips paid once.  A solo submission is the one-member case of
+  the same task path, so every task rides the same deadline /
+  result-cap / breaker machinery; the heartbeat's member slot lets a fused failure
   indict exactly the offending query's breaker.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
   evaluates a batch without blocking the event loop;
@@ -168,7 +155,6 @@ from .store import (
     atomic_write_bytes,
 )
 from .tables import AutomatonTables
-from .transport import ShmChunk, create_transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..regex.ast import RegexFormula
@@ -202,6 +188,11 @@ _UNSET = object()
 #: as ``backend="process"``.
 MANIFEST_FORMAT_VERSION = 2
 
+#: Knobs of the retired shared-memory document transport.  Manifests
+#: written before its removal still carry them; ``restore()`` drops
+#: them, since every document now rides the task message.
+_RETIRED_CONFIG_KEYS = ("transport", "shm_threshold", "shm_budget")
+
 #: Tasks a worker may hold (one running + prefetch) before dispatch
 #: falls back to the service backlog.  Keeping per-worker queues this
 #: shallow is what bounds head-of-line blocking: a worker stuck on one
@@ -223,11 +214,9 @@ class _Task:
     own, or a fused engine's pseudo-id) and ``members`` the query ids it
     answers, index-aligned with the engine's member order (and hence
     the heartbeat's member ordinal) — ``(query_id,)`` for a solo query.
-    ``items`` is the *wire form* of the chunk — the plain document/path
-    list for pipe transport, or the :class:`ShmChunk` reference whose
-    segment the driver holds alive until this task resolves (so a crash
-    re-dispatch re-sends the same reference without re-packing).  The
-    future resolves to the worker's per-member slots.
+    ``items`` is the chunk's document (or path) list, re-sent as is on a
+    crash re-dispatch.  The future resolves to the worker's per-member
+    slots.
     """
 
     __slots__ = (
@@ -242,7 +231,7 @@ class _Task:
         query_id: str,
         members: "tuple[str, ...]",
         op: str,
-        items: "list[str] | ShmChunk",
+        items: "list[str]",
         extra: int | None,
         bounded: bool,
         deadline: float | None = None,
@@ -336,7 +325,7 @@ class QueryHandle(str):
 class SpannerService:
     """A resident multi-query worker fleet with an asyncio front-end.
 
-    Every plain-value keyword (``workers``, ``backend``, ``transport``,
+    Every plain-value keyword (``workers``, ``backend``,
     ``task_timeout``, ``max_tuples``, ...) is a fleet knob: it builds
     one :class:`~repro.runtime.config.FleetConfig`, which documents and
     validates them all, and the service reads it back read-only as
@@ -367,9 +356,8 @@ class SpannerService:
 
     The service starts lazily on first use (or explicitly via
     :meth:`start` / ``with service:``) and must be closed —
-    :meth:`close` drains and stops the fleet (and unlinks every
-    shared-memory segment it still owns); the context manager does so
-    on exit.
+    :meth:`close` drains and stops the fleet; the context manager does
+    so on exit.
     """
 
     def __init__(
@@ -399,24 +387,6 @@ class SpannerService:
         self._config = replace(
             config, workers=workers, backend=self._backend.name
         )
-        # The owning side of the shared-memory document transport, or
-        # None: pure pipe, or same-address-space workers that read the
-        # submitted documents directly (no wire, nothing to pack).
-        self._doc_transport = (
-            create_transport(
-                config.transport,
-                shm_threshold=config.shm_threshold,
-                shm_budget=config.shm_budget,
-            )
-            if self._backend.uses_wire_transport
-            else None
-        )
-        if (
-            fault_plan is not None
-            and fault_plan.enospc_packs
-            and self._doc_transport is not None
-        ):
-            self._doc_transport.inject_enospc(fault_plan.enospc_packs)
         self.manifest_path = (
             Path(manifest_path) if manifest_path is not None else None
         )
@@ -580,11 +550,12 @@ class SpannerService:
         on a worker with a ``running_task`` is the signature of a hang
         — and the last RSS sample the worker stamped.  Fleet-wide:
         backlog depth, outstanding tasks, open quarantines, the
-        lifetime fault counters, and a ``resources`` section (shm bytes
-        against the budget, degraded-to-pipe episodes, orphaned
-        segments swept at startup, the artifact store's counters when
-        one is configured, per-worker RSS and the
-        truncation/rejection/recycle counters of the governance layer).
+        lifetime fault counters, and a ``resources`` section (the
+        artifact store's counters when one is configured, per-worker
+        RSS and the truncation/rejection/recycle counters of the
+        governance layer).  Its ``shm_*``, ``degraded_to_pipe`` and
+        ``orphans_swept`` keys are constants (0, or ``None`` for the
+        budget) kept for readers of the retired shared-memory transport.
 
         The snapshot survives ``json.dumps`` unchanged — every value is
         a JSON scalar, list or string-keyed dict — so it can be logged
@@ -618,22 +589,12 @@ class SpannerService:
                         "rss_bytes": rss,
                     }
                 )
-            if self._doc_transport is not None:
-                shm = self._doc_transport.stats()
-            else:
-                shm = {
-                    "bytes_in_flight": 0,
-                    "bytes_pooled": 0,
-                    "budget": None,
-                    "degraded_to_pipe": 0,
-                    "orphans_swept": 0,
-                }
             resources = {
-                "shm_bytes_in_flight": shm["bytes_in_flight"],
-                "shm_bytes_pooled": shm["bytes_pooled"],
-                "shm_budget": shm["budget"],
-                "degraded_to_pipe": shm["degraded_to_pipe"],
-                "orphans_swept": shm.get("orphans_swept", 0),
+                "shm_bytes_in_flight": 0,
+                "shm_bytes_pooled": 0,
+                "shm_budget": None,
+                "degraded_to_pipe": 0,
+                "orphans_swept": 0,
                 "store": (
                     self.artifact_store.stats()
                     if self.artifact_store is not None
@@ -1060,8 +1021,9 @@ class SpannerService:
 
         Raises :class:`~repro.errors.SpannerError` when the manifest is
         unreadable, from an unknown format version, carries a config key
-        that is not a fleet knob, or names a query whose artifact is
-        gone *and* that has no recompilable source.  A bad override
+        that is not a fleet knob (the retired transport keys are dropped
+        silently), or names a query whose artifact is gone *and* that
+        has no recompilable source.  A bad override
         fails like a bad constructor keyword (``TypeError`` for an
         unknown name, ``ValueError`` for an invalid value).
         """
@@ -1079,6 +1041,8 @@ class SpannerService:
                 f"build speaks v{MANIFEST_FORMAT_VERSION}"
             )
         config = dict(doc.get("config") or {})
+        for key in _RETIRED_CONFIG_KEYS:
+            config.pop(key, None)
         unknown = sorted(set(config) - {f.name for f in fields(FleetConfig)})
         if unknown:
             raise SpannerError(
@@ -1305,11 +1269,6 @@ class SpannerService:
         if self._collector is not None:
             self._collector.join(timeout=budget(10))
         self._backend.close(drain=drain, budget=budget)
-        if self._doc_transport is not None:
-            # Belt over the per-task handshake: whatever segments are
-            # somehow still owned (e.g. a collector that died mid-
-            # resolution) are unlinked now — /dev/shm ends clean.
-            self._doc_transport.close()
         with self._lock:
             self._closed = True
 
@@ -1459,23 +1418,18 @@ class SpannerService:
         deadline: float | None,
         caps: "tuple | None",
     ) -> Future:
-        """The dispatch tail: in-flight slot, transport, task, worker."""
+        """The dispatch tail: in-flight slot, task, worker."""
         self.start()
         bounded = self._inflight_slots is not None
         if bounded:
             self._acquire_slot()
-        # Pack only after holding an in-flight slot: a submitter parked
-        # on the backpressure bound must not pin a packed segment's
-        # bytes beyond the configured max_in_flight budget.
-        wire = self._pack(items, op)
         with self._lock:
             if self._closing:
                 if bounded:
                     self._inflight_slots.release()
-                self._release_wire(wire)
                 raise ServiceClosedError("SpannerService is closed")
             task = _Task(
-                next(self._task_ids), engine_id, members, op, wire, extra,
+                next(self._task_ids), engine_id, members, op, items, extra,
                 bounded, deadline, caps,
             )
             self._tasks[task.task_id] = task
@@ -1572,27 +1526,6 @@ class SpannerService:
                 ),
                 None,
             )
-
-    def _pack(self, items: list[str], op: str) -> "list[str] | ShmChunk":
-        """The transport negotiation: the wire form of one chunk.
-
-        ``files`` chunks are path lists (the workers read the bytes
-        themselves — already off the pipe); in-memory chunks go through
-        the shared-memory transport when one is configured and the
-        chunk clears its size threshold, and ride the task message
-        otherwise.  Packing always uses the transport's fixed lossless
-        wire codec — the ``encoding`` knob only governs how workers read
-        *files*.
-        """
-        if self._doc_transport is None or op == "files":
-            return items
-        ref = self._doc_transport.pack(items)
-        return items if ref is None else ref
-
-    def _release_wire(self, wire: "list[str] | ShmChunk") -> None:
-        """The owner half of the release handshake (no-op for pipe)."""
-        if self._doc_transport is not None and isinstance(wire, ShmChunk):
-            self._doc_transport.release(wire)
 
     #: ``kind`` values the unified :meth:`submit` core accepts, and the
     #: worker op each maps to.
@@ -1915,7 +1848,7 @@ class SpannerService:
         )
         return await asyncio.wrap_future(future)
 
-    async def extract_all(
+    def extract_all(
         self,
         docs: Iterable[str],
         *,
@@ -1923,25 +1856,20 @@ class SpannerService:
         limit: int | None = None,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         fuse: bool = True,
-    ) -> "dict[str, list[list[SpanTuple]]]":
+    ) -> "Awaitable[dict[str, list[list[SpanTuple]]]]":
         """``await``-able :meth:`submit_all`: every query's answer to one
         batch, ``{query_id: [per-doc tuple lists]}``, from one fused
         document scan whenever fusion applies.  Per-query results are
         byte-identical to awaiting Q separate :meth:`extract` calls.
-        """
-        docs = list(docs)
-        futures = await asyncio.to_thread(
-            lambda: self.submit_all(
-                docs, queries=queries, limit=limit, timeout=timeout,
-                fuse=fuse,
-            )
-        )
-        results = await asyncio.gather(
-            *(asyncio.wrap_future(f) for f in futures.values())
-        )
-        return dict(zip(futures.keys(), results))
 
-    async def extract_all_files(
+        Call it from a running event loop: a synchronous call raises
+        ``RuntimeError`` at once (use :meth:`submit_all` there) instead
+        of returning a coroutine that never runs.
+        """
+        _require_running_loop("extract_all", "submit_all(docs)")
+        return self._extract_all(docs, "docs", queries, limit, timeout, fuse)
+
+    def extract_all_files(
         self,
         paths: Iterable[str],
         *,
@@ -1949,12 +1877,19 @@ class SpannerService:
         limit: int | None = None,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         fuse: bool = True,
+    ) -> "Awaitable[dict[str, list[list[SpanTuple]]]]":
+        """``await``-able :meth:`submit_all` with ``kind="files"``; like
+        :meth:`extract_all`, it raises when no event loop is running."""
+        _require_running_loop("extract_all_files", "submit_files(paths)")
+        return self._extract_all(paths, "files", queries, limit, timeout, fuse)
+
+    async def _extract_all(
+        self, items, kind, queries, limit, timeout, fuse
     ) -> "dict[str, list[list[SpanTuple]]]":
-        """``await``-able :meth:`submit_all` with ``kind="files"``."""
-        paths = list(paths)
+        items = list(items)
         futures = await asyncio.to_thread(
             lambda: self.submit_all(
-                paths, queries=queries, kind="files", limit=limit,
+                items, queries=queries, kind=kind, limit=limit,
                 timeout=timeout, fuse=fuse,
             )
         )
@@ -2118,9 +2053,9 @@ class SpannerService:
             task.worker.in_flight.pop(task_id, None)
             task.worker = None
         if kind == "fail" and isinstance(payload, TransientTaskError):
-            # The worker said "not my fault, try again" — shm attach
-            # race, injected transient fault.  Backoff + re-dispatch,
-            # bounded by the same attempt budget as crashes.
+            # The worker said "not my fault, try again" (an injected
+            # transient fault).  Backoff + re-dispatch, bounded by the
+            # same attempt budget as crashes.
             self._retry_or_fail(task, resolutions, payload)
             return
         self._tasks.pop(task_id, None)
@@ -2414,12 +2349,6 @@ class SpannerService:
     def _finish(
         self, task: _Task, exc: BaseException | None, value: object
     ) -> None:
-        # The resolution IS the release handshake: whatever way the
-        # task ended — result, failure, cancellation, shutdown — its
-        # shared-memory segment (if any) loses its one reference here
-        # and is unlinked by the owner.  Runs before the cancelled
-        # check below so an abandoned future can never pin a segment.
-        self._release_wire(task.items)
         if task.bounded and self._inflight_slots is not None:
             self._inflight_slots.release()
         future = task.future
@@ -2438,6 +2367,23 @@ class SpannerService:
 
 #: Sentinel: resolve a task's future by cancellation (terminate path).
 _CANCELLED = CancelledError()
+
+
+def _require_running_loop(name: str, sync_twin: str) -> None:
+    """Fail a synchronous call of an ``await``-able entry point loudly.
+
+    Without this, ``service.extract_all(docs)`` outside a coroutine
+    would return a coroutine object that is never awaited and so never
+    submits anything.
+    """
+    try:
+        asyncio.get_running_loop()
+    except RuntimeError:
+        raise RuntimeError(
+            f"SpannerService.{name}() must be awaited inside a running "
+            f"event loop; from synchronous code call "
+            f"service.{sync_twin} and read its futures"
+        ) from None
 
 
 def _combine(

@@ -43,8 +43,7 @@ Blob format (``encode_artifact`` / ``decode_artifact``)::
                       CompiledEqualityQuery)
 
 The chaos hooks (:meth:`ArtifactStore.inject_torn_write`,
-:meth:`ArtifactStore.inject_corrupt`) mirror the transport's
-``inject_enospc``: ``FaultPlan.store_torn_write(...)`` /
+:meth:`ArtifactStore.inject_corrupt`): ``FaultPlan.store_torn_write(...)`` /
 ``store_corrupt(...)`` name 0-based **put** sequence numbers whose
 entry is left truncated / bit-flipped on disk, exactly as a crash or a
 decaying disk would — so the recovery path is tested without timing
@@ -162,7 +161,7 @@ class ArtifactStore:
         self._torn_puts: frozenset = frozenset()
         self._corrupt_puts: frozenset = frozenset()
 
-    # -- chaos hooks (mirror SharedMemoryTransport.inject_enospc) ------
+    # -- chaos hooks ----------------------------------------------------
 
     def inject_torn_write(self, puts: Iterable[int]) -> None:
         """Leave these puts (0-based sequence numbers) half-written."""

@@ -71,15 +71,14 @@ class TestResolution:
             SpannerService(workers=2, backend="fiber")
 
     def test_flags_per_backend(self):
-        for name, model, kill, wire, inline in (
-            ("serial", "inline", False, False, True),
-            ("thread", "thread", True, False, False),
-            ("process", "process", True, True, False),
+        for name, model, kill, inline in (
+            ("serial", "inline", False, True),
+            ("thread", "thread", True, False),
+            ("process", "process", True, False),
         ):
             backend = resolve_backend(name, workers=2)
             assert backend.worker_model == model
             assert backend.supports_kill is kill
-            assert backend.uses_wire_transport is wire
             assert backend.inline is inline
 
 

@@ -303,19 +303,25 @@ class TestWorkerSharding:
         assert code == 2
         assert "canonical" in capsys.readouterr().err
 
-    def test_query_transport_modes_match_serial(self, tmp_path, capsys):
-        from repro.runtime import shm_available
-
+    def test_query_head_workers_match_serial(self, tmp_path, capsys):
         files = self._write_corpus(
             tmp_path, [f"ab code={i}{i} ba" for i in range(4)]
         )
         args = ["query", "--atom", ".*x{[0-9]+}.*", "--head", "x"] + files
         assert main(args) == 0
         serial = capsys.readouterr().out
-        modes = ["pipe", "auto"] + (["shm"] if shm_available() else [])
-        for mode in modes:
-            assert main(args + ["--workers", "2", "--transport", mode]) == 0
-            assert capsys.readouterr().out == serial, mode
+        assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize(
+        "flag", [["--transport", "pipe"], ["--shm-budget", "4096"]]
+    )
+    def test_retired_transport_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["extract", ".*x{a}.*", "--text", "a", "--workers", "2"]
+                 + flag)
+        assert info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestFleetFlags:
@@ -346,7 +352,7 @@ class TestFleetFlags:
         assert main(args) == 0
         serial = capsys.readouterr().out
         limits = [
-            "--task-timeout", "60", "--shm-budget", str(1 << 24),
+            "--task-timeout", "60",
             "--max-tuples", "1000", "--max-result-bytes", str(1 << 20),
             "--worker-memory-limit", str(1 << 40),
         ]
@@ -403,3 +409,22 @@ class TestEncodingFlags:
              "--errors", "replace"]
         ) == 0
         assert "3" in capsys.readouterr().out
+
+
+class TestCacheCommand:
+    def test_gc_needs_dir(self, capsys):
+        assert main(["cache", "gc"]) == 2
+        assert "cache gc needs --dir DIR" in capsys.readouterr().err
+
+    def test_gc_removes_quarantined_files(self, tmp_path, capsys):
+        from repro.errors import ArtifactCorruptError
+        from repro.runtime.store import FileStore
+
+        store = FileStore(tmp_path / "arts")
+        store.inject_corrupt({0})
+        store.put("k1", b"payload")
+        with pytest.raises(ArtifactCorruptError):
+            store.get("k1")  # the read quarantines the entry
+        assert main(["cache", "gc", "--dir", str(tmp_path / "arts")]) == 0
+        assert "removed 1 quarantined" in capsys.readouterr().err
+        assert store.quarantined() == []

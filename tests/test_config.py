@@ -8,16 +8,18 @@ the fleet's plain-value knobs.  These tests pin what that buys:
   :meth:`SpannerService.restore` overrides and the CLI — with a
   ``ValueError`` naming the knob (exit 2 and ``error: --flag`` from the
   CLI), including the cases where the old per-site checks disagreed;
-* constructing a session validates without side effects: no
-  ``/dev/shm`` sweep, no session directory;
-* a restart manifest written by the previous release (the same 22-key
-  ``config`` block) restores to an equal config, and unknown keys fail
-  loudly.
+* constructing a session validates without side effects: no worker,
+  no session directory;
+* a restart manifest written by an earlier release (the 22-key
+  ``config`` block, retired transport knobs included) restores to an
+  equal config, and unknown keys fail loudly;
+* the retired transport knobs are gone from every entry point.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import tempfile
 from dataclasses import FrozenInstanceError, asdict, fields
 
@@ -31,22 +33,21 @@ from repro.runtime import (
     ParallelSpanner,
     SpannerService,
 )
-from repro.runtime import transport as transport_module
+from repro.runtime.service import MANIFEST_FORMAT_VERSION
 
 FORMULA = ".*x{[0-9]+}.*"
 DOCS = ["a1 b22", "none", "c333"]
 
 #: The flags ``repro.cli`` exposes, by knob.
 CLI_KNOBS = {
-    "workers", "backend", "transport", "encoding", "errors",
-    "task_timeout", "on_overload", "shm_budget", "max_tuples",
+    "workers", "backend", "encoding", "errors",
+    "task_timeout", "on_overload", "max_tuples",
     "max_result_bytes", "on_result_limit", "worker_memory_limit",
     "max_compile_states", "compile_timeout",
 }
 
 #: (case id, the knobs to pass, the knob the error must name).  One
-#: invalid value per numeric or enum knob, plus the cases the
-#: per-entry-point checks used to disagree on.
+#: invalid value per numeric or enum knob.
 INVALID = [
     ("workers", {"workers": 0}, "workers"),
     ("chunk_size", {"chunk_size": 0}, "chunk_size"),
@@ -55,7 +56,6 @@ INVALID = [
     ("max_in_flight", {"max_in_flight": 0}, "max_in_flight"),
     ("backend", {"backend": "fiber"}, "backend"),
     ("mp_context", {"mp_context": "teleport"}, "mp_context"),
-    ("transport", {"transport": "carrier-pigeon"}, "transport"),
     ("encoding", {"encoding": "no-such-codec"}, "encoding"),
     ("errors", {"errors": "no-such-handler"}, "errors"),
     ("task_timeout", {"task_timeout": 0}, "task_timeout"),
@@ -76,13 +76,6 @@ INVALID = [
     ("max_compile_states", {"max_compile_states": 0}, "max_compile_states"),
     ("compile_timeout", {"compile_timeout": 0}, "compile_timeout"),
     ("integer_workers", {"workers": 2.5}, "workers"),
-    # Drift cases: the serial service accepted these while
-    # ParallelSpanner rejected them, and forcing the pipe skipped the
-    # budget check on every backend.
-    ("drift_serial_shm_budget", {"shm_budget": 0}, "shm_budget"),
-    ("drift_shm_threshold", {"shm_threshold": -5}, "shm_threshold"),
-    ("drift_pipe_shm_budget", {"transport": "pipe", "shm_budget": 0},
-     "shm_budget"),
 ]
 
 ENTRY_POINTS = ["service_serial", "service_process", "parallel",
@@ -151,7 +144,7 @@ def test_every_entry_point_rejects_invalid_knobs(
 
 def test_config_is_the_declaration():
     config = FleetConfig()
-    assert len(fields(config)) == 22
+    assert len(fields(config)) == 19
     with pytest.raises(FrozenInstanceError):
         config.workers = 4
     # The service accepts exactly the knobs plus its object arguments.
@@ -172,31 +165,17 @@ def test_service_config_is_resolved():
 
 
 def test_parallel_construction_has_no_side_effects(tmp_path, monkeypatch):
-    swept = []
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     monkeypatch.setattr(tempfile, "tempdir", None)
-    monkeypatch.setattr(
-        transport_module,
-        "sweep_orphaned_segments",
-        lambda *a, **k: swept.append(1) or [],
-    )
-    sessions = tmp_path / "sjdoc-sessions"
-    for mode in ("auto", "shm", "pipe"):
-        if mode == "shm" and not transport_module.shm_available():
-            continue
-        ParallelSpanner(FORMULA, workers=2, backend="process", transport=mode)
-    assert not sessions.exists()
-    assert swept == []
-    if transport_module.shm_available():
-        # Control: a real segment owner does create both, so the
-        # redirect above is what the assertions observed.
-        owner = transport_module.create_transport("shm")
-        owner.close()
-        assert sessions.is_dir() and swept == [1]
+    before = set(multiprocessing.active_children())
+    ParallelSpanner(FORMULA, workers=2, backend="process")
+    assert set(multiprocessing.active_children()) == before
+    assert list(tmp_path.iterdir()) == []
 
 
-#: A v2 manifest ``config`` block exactly as the previous release wrote
-#: it (every knob, workers and backend resolved).
+#: A v2 manifest ``config`` block exactly as the release before the
+#: shared-memory transport's removal wrote it (every knob, workers and
+#: backend resolved).
 PARENT_CONFIG = {
     "workers": 2,
     "chunk_size": 3,
@@ -222,6 +201,12 @@ PARENT_CONFIG = {
     "compile_timeout": None,
 }
 
+#: The knobs of the removed shared-memory transport.
+RETIRED = ("transport", "shm_threshold", "shm_budget")
+CURRENT_CONFIG = {
+    k: v for k, v in PARENT_CONFIG.items() if k not in RETIRED
+}
+
 
 def _write_manifest(path, config) -> None:
     doc = {
@@ -244,20 +229,36 @@ def _write_manifest(path, config) -> None:
 
 class TestParentManifest:
     def test_parent_config_block_restores_to_an_equal_config(self, tmp_path):
+        self._check_restores(tmp_path, PARENT_CONFIG)
+
+    def test_parent_forced_transport_knobs_are_dropped(self, tmp_path):
+        # Non-default values of the retired knobs: forced shm with a
+        # budget, and forced pipe.  Both restore onto the task pipe.
+        self._check_restores(
+            tmp_path,
+            {**PARENT_CONFIG, "transport": "shm", "shm_threshold": 0,
+             "shm_budget": 4096},
+        )
+        self._check_restores(tmp_path, {**PARENT_CONFIG, "transport": "pipe"})
+
+    @staticmethod
+    def _check_restores(tmp_path, config) -> None:
         path = tmp_path / "fleet.json"
-        _write_manifest(path, PARENT_CONFIG)
+        _write_manifest(path, config)
         restored = SpannerService.restore(path)
         try:
-            assert restored.config == FleetConfig(**PARENT_CONFIG)
+            # The retired transport knobs are dropped; every other
+            # value survives as written.
+            assert restored.config == FleetConfig(**CURRENT_CONFIG)
             assert restored.queries == ("digits",)
             out = restored.submit(DOCS, queries="digits").result()
         finally:
             restored.close()
         assert out == list(CompiledSpanner(FORMULA).evaluate_many(DOCS))
-        # The rewritten manifest keeps the same block.
+        # The rewritten manifest is the same format, minus those keys.
         rewritten = json.loads(path.read_text("utf-8"))
-        assert rewritten["format"] == 2
-        assert rewritten["config"] == PARENT_CONFIG
+        assert rewritten["format"] == MANIFEST_FORMAT_VERSION == 2
+        assert rewritten["config"] == CURRENT_CONFIG
 
     def test_manifest_config_is_the_service_config(self, tmp_path):
         path = tmp_path / "fleet.json"
@@ -267,7 +268,7 @@ class TestParentManifest:
             service.register(FORMULA)
             written = json.loads(path.read_text("utf-8"))["config"]
             assert written == asdict(service.config)
-        assert set(written) == set(PARENT_CONFIG)
+        assert set(written) == set(CURRENT_CONFIG)
 
     def test_unknown_manifest_key_fails_loudly(self, tmp_path):
         path = tmp_path / "fleet.json"
@@ -280,3 +281,20 @@ class TestParentManifest:
         _write_manifest(path, PARENT_CONFIG)
         with pytest.raises(TypeError, match="max_widgets"):
             SpannerService.restore(path, max_widgets=3)
+
+    def test_retired_knob_beside_an_unknown_key_still_fails(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        _write_manifest(path, {**PARENT_CONFIG, "shm_pool": 8})
+        with pytest.raises(SpannerError, match="shm_pool"):
+            SpannerService.restore(path)
+
+
+def test_retired_transport_knobs_are_gone(tmp_path):
+    path = tmp_path / "fleet.json"
+    _write_manifest(path, PARENT_CONFIG)
+    with pytest.raises(TypeError, match="transport"):
+        SpannerService(transport="pipe")
+    with pytest.raises(TypeError, match="shm_budget"):
+        ParallelSpanner(FORMULA, shm_budget=1)
+    with pytest.raises(TypeError, match="transport"):
+        SpannerService.restore(path, transport="shm")

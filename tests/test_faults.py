@@ -2,7 +2,7 @@
 
 Every test drives a :class:`SpannerService` with a
 :class:`~repro.runtime.faults.FaultPlan` that injects hangs, crashes,
-slow decodes or shared-memory attach failures at chosen task indices,
+slow decodes or transient failures at chosen task indices,
 and asserts the fault-tolerance contract:
 
 * results that survive a fault are **byte-identical** to the serial
@@ -15,13 +15,11 @@ and asserts the fault-tolerance contract:
   worker), recovers through a half-open probe after the cool-down, and
   :meth:`reinstate` restores it immediately;
 * overload policies shed predictably (``reject`` / ``shed_oldest``);
-* the resource-governance layer degrades gracefully: shm allocation
-  failures fall back to the pipe byte-identically, a flooded result
+* the resource-governance layer degrades gracefully: a flooded result
   fails (or truncates) exactly its own task without charging the
   breaker, a bloated worker is recycled with no tuple loss, and an
   oversized or wedged compilation is rejected at ``register()``
-  without consuming a worker;
-* no ``/dev/shm`` segment survives ``close()``, whatever was injected.
+  without consuming a worker.
 
 Each service numbers its tasks from 0 in submission order, so a plan
 keyed on small integers targets the first chunks a test submits.
@@ -55,8 +53,6 @@ from test_service import (
     DOCS,
     WORD_FORMULA,
     canonical,
-    dev_shm_segments,
-    _require_shm,
 )
 
 #: Backends whose workers can be killed; the serial backend's worker is
@@ -99,19 +95,15 @@ class TestFaultPlan:
         assert not FaultPlan()
         assert FaultPlan().crash(task=0)
 
-    def test_shm_attach_fault_raises_transient(self):
+    def test_transient_fault_raises_transient(self):
         with pytest.raises(TransientTaskError):
-            FaultSpec("shm_attach").trigger()
+            FaultSpec("transient").trigger()
 
     def test_resource_builders_validate(self):
         with pytest.raises(ValueError):
-            FaultPlan().shm_enospc(0, -1)
-        with pytest.raises(ValueError):
             FaultPlan().slow_compile(0)
         # The driver-side faults make an otherwise-empty plan live.
-        assert FaultPlan().shm_enospc(3)
         assert FaultPlan().slow_compile(0.1)
-        assert FaultPlan().shm_enospc(0).shm_enospc(2).enospc_packs == {0, 2}
 
     def test_durability_builders_validate(self):
         with pytest.raises(ValueError):
@@ -307,10 +299,10 @@ class TestSlowAndTransient:
             assert canonical(out) == canonical(word_serial)
             assert svc.tasks_timed_out == 0
 
-    def test_shm_attach_fault_retries_with_backoff(self, word_serial):
-        """A transient attach failure on the first two attempts
-        re-dispatches (with backoff) and succeeds on the third."""
-        plan = FaultPlan().shm_fault(task=0, attempts=(1, 2))
+    def test_transient_fault_retries_with_backoff(self, word_serial):
+        """A transient failure on the first two attempts re-dispatches
+        (with backoff) and succeeds on the third."""
+        plan = FaultPlan().transient_fault(task=0, attempts=(1, 2))
         with SpannerService(workers=2, chunk_size=2, fault_plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             out = svc.submit(DOCS, queries=qid).result(timeout=120)
@@ -321,7 +313,7 @@ class TestSlowAndTransient:
     def test_transient_exhaustion_surfaces_the_error(self):
         """A transient fault on every attempt gives up after the
         attempt budget and surfaces TransientTaskError to the caller."""
-        plan = FaultPlan().shm_fault(task=0)
+        plan = FaultPlan().transient_fault(task=0)
         with SpannerService(workers=1, chunk_size=2, fault_plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(TransientTaskError):
@@ -497,21 +489,20 @@ class TestOverloadPolicies:
             assert svc.tasks_shed == 0
 
 
-class TestShmUnderFaults:
-    def test_combined_fault_plan_leaves_shm_clean(self, word_serial):
-        """Crash + hang + slow + transient in one run over forced shm:
-        surviving chunks are byte-identical and /dev/shm ends empty."""
-        _require_shm()
+class TestCombinedFaults:
+    def test_combined_fault_plan_byte_identical(self, word_serial):
+        """Crash + hang + slow + transient in one run: the crashed chunk
+        is re-dispatched, exactly the hung chunk times out, and every
+        surviving chunk is byte-identical."""
         plan = (
             FaultPlan()
             .crash(task=1, attempts=(1,))
             .hang(task=2)
             .slow(task=3, seconds=0.1)
-            .shm_fault(task=4, attempts=(1,))
+            .transient_fault(task=4, attempts=(1,))
         )
         service = SpannerService(
-            workers=2, chunk_size=2, transport="shm",
-            fault_plan=plan, task_timeout=DEADLINE,
+            workers=2, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE
         )
         try:
             service.start()
@@ -531,25 +522,10 @@ class TestShmUnderFaults:
             for i, out in survived:
                 expected = word_serial[2 * i : 2 * i + 2]
                 assert canonical(out) == canonical(expected)
+            assert service.workers_crashed >= 1
+            assert service.tasks_retried >= 1
         finally:
             service.close()
-        assert not dev_shm_segments()
-
-    def test_timeout_releases_segment(self):
-        """The release-on-timeout path: a timed-out task's segment is
-        released when its future fails, not leaked until close."""
-        _require_shm()
-        plan = FaultPlan().hang(task=0)
-        with SpannerService(
-            workers=1, chunk_size=2, transport="shm",
-            fault_plan=plan, task_timeout=DEADLINE,
-        ) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.raises(TaskTimeoutError):
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
-            # The segment owner holds nothing live for the dead task.
-            assert svc._doc_transport.live_segments() == ()
-        assert not dev_shm_segments()
 
 
 def _poll(predicate, timeout: float = 30.0, interval: float = 0.05) -> bool:
@@ -561,50 +537,6 @@ def _poll(predicate, timeout: float = 30.0, interval: float = 0.05) -> bool:
             return True
         time.sleep(interval)
     return predicate()
-
-
-class TestShmBudgetDegradation:
-    """ENOSPC / budget pressure: chunks ride the pipe, results don't care."""
-
-    def test_enospc_fallback_is_byte_identical(self, word_serial):
-        """Acceptance: injected allocation failures on the first two
-        packs degrade exactly those chunks to the pipe; the batch is
-        byte-identical, the episodes are counted, and /dev/shm ends
-        clean."""
-        _require_shm()
-        plan = FaultPlan().shm_enospc(0, 1)
-        with SpannerService(
-            workers=2, chunk_size=2, transport="shm", fault_plan=plan
-        ) as svc:
-            qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit(DOCS, queries=qid).result(timeout=120)
-            assert canonical(out) == canonical(word_serial)
-            resources = svc.health()["resources"]
-            assert resources["degraded_to_pipe"] == 2
-        assert not dev_shm_segments()
-
-    def test_close_drain_during_degraded_episode_unlinks(self, word_serial):
-        """close(drain=True) while some chunks degraded mid-batch: every
-        submitted future resolves and no segment survives the close —
-        the degraded (pipe) tasks must not confuse the shutdown sweep's
-        segment accounting."""
-        _require_shm()
-        plan = FaultPlan().shm_enospc(1, 3)
-        svc = SpannerService(
-            workers=2, chunk_size=2, transport="shm", fault_plan=plan
-        )
-        svc.start()
-        qid = svc.register(CompiledSpanner(WORD_FORMULA))
-        futures = [
-            svc.submit_chunk(qid, DOCS[i : i + 2])
-            for i in range(0, len(DOCS), 2)
-        ]
-        svc.close(drain=True)
-        out = []
-        for future in futures:
-            out.extend(future.result(timeout=0))  # resolved by the drain
-        assert canonical(out) == canonical(word_serial)
-        assert not dev_shm_segments()
 
 
 class TestResultCaps:
@@ -633,17 +565,13 @@ class TestResultCaps:
             assert svc.tasks_result_limited == 1
             assert svc.docs_truncated == 0
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_result_limit_never_charges_the_breaker(self, transport):
+    def test_result_limit_never_charges_the_breaker(self):
         """A capped result indicts the input, not the fleet: even with
         quarantine_after=1 the query stays admitted and the very next
         submission serves normally."""
-        if transport == "shm":
-            _require_shm()
         plan = FaultPlan().tuple_flood(task=0, amount=500)
         with SpannerService(
-            workers=1, chunk_size=2, transport=transport,
-            max_tuples=100, fault_plan=plan,
+            workers=1, chunk_size=2, max_tuples=100, fault_plan=plan,
             quarantine_after=1, quarantine_cooldown=60.0,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
@@ -654,8 +582,6 @@ class TestResultCaps:
             out = svc.submit_chunk(qid, DOCS[2:4]).result(timeout=120)
             serial = list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[2:4]))
             assert canonical(out) == canonical(serial)
-        if transport == "shm":
-            assert not dev_shm_segments()
 
     def test_truncate_policy_returns_exact_serial_prefix(self):
         """on_result_limit='truncate': the bounded result is the exact

@@ -5,13 +5,15 @@ every member query — is **observably identical** to Q sequential
 submissions:
 
 * per-query tuple streams byte-identical (content *and* order) to the
-  serial engine and to ``fuse=False`` sequential serving, across the
-  pipe and shm transports and for docs/files work alike;
+  serial engine and to ``fuse=False`` sequential serving, for
+  docs/files work alike;
 * faults inside a fused task indict only the member whose phase was
   running: the offending query's breaker opens, the innocent members'
   breakers stay closed and keep serving;
 * a solo submission is the one-member case of the same path: result
   limits count the same, and the ``extract`` front-end warns nothing;
+* the ``extract_all`` front-end must be awaited: a synchronous call
+  fails at once instead of returning a coroutine that never runs;
 * ``register()`` returns a :class:`QueryHandle` usable anywhere a
   query id string is.
 """
@@ -51,7 +53,6 @@ from test_service import (
     WORD_FORMULA,
     canonical,
     equality_engine,
-    _require_shm,
 )
 
 DEADLINE = 0.5
@@ -112,22 +113,16 @@ class TestPlanning:
 # Byte parity: fused vs sequential vs serial
 # ---------------------------------------------------------------------------
 class TestFusedParity:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     def test_mixed_cohorts_byte_identical(
-        self, transport, word_serial, digit_serial, upper_serial
+        self, word_serial, digit_serial, upper_serial
     ):
         """Acceptance: regex + equality members fused in one batch, per
-        query byte-identical to serial and to fuse=False, on both
-        transports."""
-        if transport == "shm":
-            _require_shm()
+        query byte-identical to serial and to fuse=False."""
         eq_engine, eq_docs = equality_engine()
         # All members must share one batch, so evaluate the equality
         # query over the same corpus the regex members see.
         eq_serial = list(eq_engine.evaluate_many(DOCS))
-        with SpannerService(
-            workers=2, chunk_size=3, transport=transport
-        ) as svc:
+        with SpannerService(workers=2, chunk_size=3) as svc:
             handles = [
                 svc.register(CompiledSpanner(WORD_FORMULA)),
                 svc.register(CompiledSpanner(DIGIT_FORMULA)),
@@ -193,6 +188,21 @@ class TestFusedParity:
         q_word, q_digit, out = asyncio.run(scenario())
         assert canonical(out[q_word]) == canonical(word_serial)
         assert canonical(out[q_digit]) == canonical(digit_serial)
+
+    def test_extract_all_outside_an_event_loop_fails_loudly(self, tmp_path):
+        path = tmp_path / "doc.txt"
+        path.write_text(DOCS[0])
+        with SpannerService(workers=1, backend="serial") as svc:
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            with pytest.raises(RuntimeError, match=r"submit_all\(docs\)"):
+                svc.extract_all(DOCS)
+            with pytest.raises(RuntimeError, match=r"submit_files\(paths\)"):
+                svc.extract_all_files([str(path)])
+            # Nothing was submitted; the synchronous twins still serve.
+            assert svc.tasks_completed == 0
+            assert svc.submit_all(DOCS)[qid].result(timeout=60) == list(
+                CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS)
+            )
 
     def test_duplicate_queries_rejected(self):
         with SpannerService(workers=1) as svc:

@@ -112,62 +112,6 @@ class TestSerialFallback:
         assert list(engine.evaluate_many(iter(()))) == []
 
 
-class TestTransportModes:
-    """pipe / shm / auto must be byte-interchangeable."""
-
-    @pytest.mark.parametrize("mode", ["pipe", "shm", "auto"])
-    def test_transport_matches_serial(self, serial_output, mode):
-        from repro.runtime.transport import shm_available
-
-        if mode == "shm" and not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        engine = ParallelSpanner(
-            FORMULA, workers=2, chunk_size=3, transport=mode
-        )
-        assert list(engine.evaluate_many(DOCS)) == serial_output
-
-    def test_auto_negotiates_per_chunk(self, serial_output):
-        from repro.runtime.transport import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        # A tiny threshold forces every chunk through shared memory; a
-        # huge one forces every chunk onto the pipe — identical output
-        # either way.
-        for threshold in (1, 10**9):
-            engine = ParallelSpanner(
-                FORMULA, workers=2, chunk_size=3,
-                transport="auto", shm_threshold=threshold,
-            )
-            assert list(engine.evaluate_many(DOCS)) == serial_output
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSpanner(FORMULA, workers=2, transport="carrier-pigeon")
-
-    def test_forced_shm_raises_where_unavailable(self, monkeypatch):
-        from repro.runtime import transport as transport_module
-        from repro.runtime.transport import TransportUnavailableError
-
-        monkeypatch.setattr(transport_module, "shm_available", lambda: False)
-        with pytest.raises(TransportUnavailableError):
-            ParallelSpanner(FORMULA, workers=2, transport="shm")
-
-    def test_auto_falls_back_where_unavailable(self, serial_output,
-                                               monkeypatch):
-        # Simulate a platform without POSIX shm: auto must silently
-        # ride the pipe and still match serial output exactly.
-        from repro.runtime import transport as transport_module
-
-        monkeypatch.setattr(transport_module, "shm_available", lambda: False)
-        engine = ParallelSpanner(
-            FORMULA, workers=2, chunk_size=3, transport="auto"
-        )
-        with engine:
-            assert engine._pool._doc_transport is None
-            assert list(engine.evaluate_many(DOCS)) == serial_output
-
-
 class TestAbandonedStream:
     """Breaking out of a streaming generator must not poison the session."""
 
@@ -193,28 +137,6 @@ class TestAbandonedStream:
             while _time.time() < deadline and engine._pool._tasks:
                 _time.sleep(0.02)
             assert not engine._pool._tasks
-
-    def test_break_with_shm_transport_leaves_no_segments(self):
-        from repro.runtime.transport import shm_available
-
-        if not shm_available():
-            pytest.skip("POSIX shared memory unavailable")
-        # Big documents (real segments) with exactly one match each,
-        # so evaluation stays cheap and the test exercises transport.
-        big_docs = [f"{'QQ ' * 1300}hi{i % 7}" for i in range(8)]
-        serial = list(CompiledSpanner(FORMULA).evaluate_many(big_docs))
-        with ParallelSpanner(
-            FORMULA, workers=2, chunk_size=2, transport="shm"
-        ) as engine:
-            stream = engine.evaluate_many(iter(big_docs))
-            next(stream)
-            stream.close()
-            assert list(engine.evaluate_many(big_docs)) == serial
-        import glob
-        import os
-
-        if os.path.isdir("/dev/shm"):
-            assert not glob.glob("/dev/shm/sjdoc-*")
 
 
 class TestEncoding:

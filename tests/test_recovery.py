@@ -6,8 +6,7 @@ The contract of PR 8's persistence layer, end to end:
   followed by :meth:`SpannerService.restore` yields a fleet whose
   results are **byte-identical** to the crashed one's, with *no
   recompilation* for store-resident artifacts — the store's hit
-  counter proves the warm path ran — and the orphaned ``/dev/shm``
-  segments the crash stranded are swept at restore;
+  counter proves the warm path ran;
 * a corrupted or torn store entry (the ``store_corrupt`` /
   ``store_torn_write`` hooks) is quarantined and transparently
   recompiled — counted, never fatal to any query;
@@ -35,9 +34,8 @@ from repro.errors import (
 )
 from repro.runtime import CompiledSpanner, FaultPlan, SpannerService
 from repro.runtime.store import FileStore
-from repro.runtime.transport import shm_available
 
-from test_service import DOCS, WORD_FORMULA, canonical, dev_shm_segments
+from test_service import DOCS, WORD_FORMULA, canonical
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -360,7 +358,6 @@ plan = FaultPlan().driver_kill(after_tasks=1)
 service = SpannerService(
     workers=2,
     chunk_size=1,
-    transport="shm",
     manifest_path={manifest!r},
     fault_plan=plan,
 )
@@ -375,18 +372,14 @@ sys.exit(3)
 """
 
 
-@pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable"
-)
 class TestDriverKill:
-    def test_kill9_restore_parity_and_shm_sweep(self, tmp_path):
+    def test_kill9_restore_parity(self, tmp_path):
         manifest = tmp_path / "fleet.json"
         script = _KILL_CHILD.format(
             src=os.path.abspath(SRC),
             manifest=str(manifest),
             formula=WORD_FORMULA,
         )
-        before = dev_shm_segments()
         # Orphaned workers inherit the driver's stdio, so piping +
         # communicate() would block on EOF forever: log to files and
         # wait() on the driver alone.
@@ -411,9 +404,6 @@ class TestDriverKill:
             child.returncode,
             (tmp_path / "child.log").read_text(errors="replace"),
         )
-        # The crash stranded segments: no close(), no finalizer ran.
-        orphans = dev_shm_segments() - before
-        assert orphans, "expected the SIGKILLed driver to strand segments"
         # The manifest survived the crash (it is journaled at register
         # time, before any task flowed).
         doc = json.loads(manifest.read_text())
@@ -421,12 +411,7 @@ class TestDriverKill:
 
         restored = SpannerService.restore(manifest)
         try:
-            # Startup swept the dead session's segments...
-            assert not (dev_shm_segments() & orphans)
-            assert restored.health()["resources"]["orphans_swept"] >= len(
-                orphans
-            )
-            # ...the artifact revived without recompilation...
+            # The artifact revived without recompilation...
             stats = restored.artifact_store.stats()
             assert stats["hits"] == 1 and stats["puts"] == 0
             # ...and the restored fleet serves byte-identical results.
@@ -438,5 +423,3 @@ class TestDriverKill:
             assert canonical(out2) == canonical(expected)
         finally:
             restored.close()
-        # The restored fleet's own shutdown leaves /dev/shm clean too.
-        assert not (dev_shm_segments() - before)

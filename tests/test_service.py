@@ -100,23 +100,16 @@ class TestFleetMatchesSerial:
             assert canonical(f_digit.result()) == canonical(digit_serial)
             assert canonical(f_eq.result()) == canonical(eq_serial)
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_forced_recycle_byte_identical(self, word_serial, transport):
+    def test_forced_recycle_byte_identical(self, word_serial):
         """max_tasks_per_worker=1: every task retires a worker; the
-        output must not notice — segment release included, when the
-        documents ride shared memory."""
-        if transport == "shm":
-            _require_shm()
+        output must not notice."""
         with SpannerService(
-            workers=2, chunk_size=2, max_tasks_per_worker=1,
-            transport=transport,
+            workers=2, chunk_size=2, max_tasks_per_worker=1
         ) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             out = service.submit(DOCS, queries=qid).result()
             assert canonical(out) == canonical(word_serial)
             assert service.workers_recycled > 0
-        if transport == "shm":
-            assert not dev_shm_segments()
 
     def test_recycling_prunes_exited_processes(self, word_serial):
         """A continuously recycling fleet must not accumulate process
@@ -229,18 +222,13 @@ class TestRegistration:
 
 
 class TestFailurePaths:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
     def test_killed_worker_redispatches_without_loss_or_dup(
-        self, word_serial, transport
+        self, word_serial
     ):
         """SIGKILL one worker mid-batch: the batch still resolves to
         exactly the serial result — nothing dropped, nothing doubled —
-        and the fleet keeps serving afterwards.  Over shm transport
-        this also exercises segment release on worker *death*, not
-        just on clean resolution."""
-        if transport == "shm":
-            _require_shm()
-        service = SpannerService(workers=2, chunk_size=2, transport=transport)
+        and the fleet keeps serving afterwards."""
+        service = SpannerService(workers=2, chunk_size=2)
         try:
             service.start()
             qid = service.register(CompiledSpanner(WORD_FORMULA))
@@ -257,8 +245,6 @@ class TestFailurePaths:
             ) == word_serial[:5]
         finally:
             service.close()
-        if transport == "shm":
-            assert not dev_shm_segments()
 
     def test_kill_during_each_phase_converges(self, word_serial):
         """Kill a worker at a few offsets; at-most-once resolution must
@@ -449,104 +435,6 @@ class TestAsyncFrontend:
                 return await service.extract_files(qid, paths)
 
         assert asyncio.run(run()) == word_serial[:8]
-
-
-def dev_shm_segments() -> set[str]:
-    import glob
-
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return set()
-    return {os.path.basename(p) for p in glob.glob("/dev/shm/sjdoc-*")}
-
-
-def _require_shm():
-    from repro.runtime import shm_available
-
-    if not shm_available():
-        pytest.skip("POSIX shared memory unavailable")
-
-
-class TestSharedMemoryTransport:
-    """The fleet over shm transport: parity, crash cleanup, recycling."""
-
-    def test_forced_shm_byte_identical(self, word_serial, digit_serial):
-        _require_shm()
-        with SpannerService(
-            workers=2, chunk_size=3, transport="shm"
-        ) as service:
-            q_word = service.register(CompiledSpanner(WORD_FORMULA))
-            q_digit = service.register(CompiledSpanner(DIGIT_FORMULA))
-            f_word = service.submit(DOCS, queries=q_word)
-            f_digit = service.submit(DOCS, queries=q_digit)
-            assert canonical(f_word.result()) == canonical(word_serial)
-            assert canonical(f_digit.result()) == canonical(digit_serial)
-        assert not dev_shm_segments()
-
-    def test_forced_pipe_byte_identical(self, word_serial):
-        with SpannerService(
-            workers=2, chunk_size=3, transport="pipe"
-        ) as service:
-            assert service._doc_transport is None
-            qid = service.register(CompiledSpanner(WORD_FORMULA))
-            assert canonical(service.submit(DOCS, queries=qid).result()) == canonical(
-                word_serial
-            )
-
-    def test_killed_worker_leaves_no_orphaned_segments(self, word_serial):
-        """SIGKILL a worker holding shm-backed tasks: the batch still
-        resolves exactly (re-dispatch re-uses the same segments) and
-        nothing is left in /dev/shm after close."""
-        _require_shm()
-        service = SpannerService(workers=2, chunk_size=2, transport="shm")
-        try:
-            service.start()
-            qid = service.register(CompiledSpanner(WORD_FORMULA))
-            future = service.submit(DOCS, queries=qid)
-            os.kill(service._workers[0].process.pid, signal.SIGKILL)
-            assert canonical(future.result(timeout=120)) == canonical(
-                word_serial
-            )
-            assert service.workers_crashed == 1
-        finally:
-            service.close()
-        assert not dev_shm_segments()
-
-    def test_recycling_fleet_leaves_no_orphaned_segments(self, word_serial):
-        _require_shm()
-        with SpannerService(
-            workers=2, chunk_size=2, transport="shm", max_tasks_per_worker=1
-        ) as service:
-            qid = service.register(CompiledSpanner(WORD_FORMULA))
-            out = service.submit(DOCS, queries=qid).result()
-            assert canonical(out) == canonical(word_serial)
-            assert service.workers_recycled > 0
-        assert not dev_shm_segments()
-
-    def test_terminate_with_shm_in_flight_sweeps_segments(self):
-        _require_shm()
-        service = SpannerService(workers=2, chunk_size=1, transport="shm")
-        service.start()
-        qid = service.register(CompiledSpanner(WORD_FORMULA))
-        futures = [service.submit_chunk(qid, ["a b c"]) for _ in range(32)]
-        service.close(drain=False)  # cancel outstanding, terminate fleet
-        assert all(f.done() for f in futures)
-        assert not dev_shm_segments()
-
-    def test_equality_query_over_shm(self):
-        _require_shm()
-        eq_engine, eq_docs = equality_engine()
-        eq_serial = list(eq_engine.evaluate_many(eq_docs))
-        with SpannerService(
-            workers=2, chunk_size=3, transport="shm"
-        ) as service:
-            qid = service.register(eq_engine)
-            out = service.submit(eq_docs, queries=qid).result()
-            assert canonical(out) == canonical(eq_serial)
-        assert not dev_shm_segments()
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError):
-            SpannerService(workers=1, transport="smoke-signals")
 
 
 class TestBackpressure:
