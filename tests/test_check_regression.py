@@ -410,6 +410,29 @@ class TestResourceCounters:
         assert "fleet-counters" in out  # the older report still prints
 
 
+    def test_retired_columns_are_not_reported(self, tmp_path, capsys):
+        # Records written after the shared-memory transport's removal
+        # have no E13h ``degraded`` and no E13i ``orphans`` column; the
+        # reports name only the columns a record has.
+        record = make_record(
+            resource_counters=(0, 0), store_counters=(1, 0, 0)
+        )
+        for experiment in record["experiments"]:
+            for table in experiment["tables"]:
+                for column in ("degraded", "orphans"):
+                    if column in table["headers"]:
+                        idx = table["headers"].index(column)
+                        del table["headers"][idx]
+                        for row in table["rows"]:
+                            del row[idx]
+        write_history(tmp_path, [make_record(), record])
+        assert check(tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "resource-counters]: newest" in out
+        assert "truncated=0" in out and "degraded" not in out
+        assert "hits=2, corrupt=0" in out and "orphans" not in out
+
+
 class TestStoreCounters:
     """The informational hits/corrupt/orphans report (PR 8 E13i)."""
 
