@@ -485,13 +485,14 @@ def _run_e13h():
     """E13h: the price of resource governance on the healthy path.
 
     The E13a workload on a 2-worker fleet with the whole governance
-    layer armed — per-query result caps, the worker memory watchdog, compile-time admission with a sandboxed compile —
-    at limits far above what the workload needs, versus a fleet with
-    every knob off.  Nothing trips (the governance counters are
-    asserted 0), so the delta is the per-task cost of *checking*:
-    cap bookkeeping in the enumeration loop, one RSS read per
-    heartbeat.  Target <= 1% — cheaper
-    than E13g's deadlines because the checks ride existing loops.
+    layer armed — per-query result caps, the worker memory watchdog,
+    compile-time admission with a sandboxed compile — at limits far
+    above what the workload needs, versus a fleet with every knob off.
+    Nothing trips (the governance counters are asserted 0), so the
+    delta is the per-task cost of *checking*: cap bookkeeping in the
+    enumeration loop, one RSS read per heartbeat.  Target <= 1% —
+    cheaper than E13g's deadlines because the checks ride existing
+    loops.
     """
     automaton = workload_automaton()
     table = Table(

@@ -178,9 +178,9 @@ def report_resource_counters(records: list[tuple[str, dict]]) -> None:
     workload, so its counters must read 0; a nonzero value means a
     limit tripped *during the benchmark run* — its "on" timings then
     include truncated enumerations (or, in older records, pipe
-    fallbacks) and the measured overhead is not the healthy-path cost.  A data-quality notice for
-    the trajectory reader — never an exit-code failure, and records
-    predating E13h stay silent.
+    fallbacks) and the measured overhead is not the healthy-path cost.
+    A data-quality notice for the trajectory reader — never an
+    exit-code failure, and records predating E13h stay silent.
     """
     newest_name, newest = records[-1]
     totals = {
@@ -221,10 +221,10 @@ def report_store_counters(records: list[tuple[str, dict]]) -> None:
     nonzero ``corrupt`` means the benchmark revived (and silently
     recompiled past) a damaged cache entry, and a nonzero ``orphans``
     meant the runner's ``/dev/shm`` held leftovers of an earlier
-    crashed run that the startup sweep had to reap.  Either way the warm timings are
-    contaminated by recovery work.  A data-quality notice for the
-    trajectory reader — never an exit-code failure, and records
-    predating E13i stay silent.
+    crashed run that the startup sweep had to reap.  Either way the
+    warm timings are contaminated by recovery work.  A data-quality
+    notice for the trajectory reader — never an exit-code failure, and
+    records predating E13i stay silent.
     """
     newest_name, newest = records[-1]
     totals = {

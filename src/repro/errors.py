@@ -265,8 +265,9 @@ class TransientTaskError(SpannerError):
 
     Shipped back by workers for failures that say nothing about the
     query or the document — e.g. an injected transient fault from the
-    chaos harness (:mod:`repro.runtime.faults`).  The driver re-dispatches the task
-    with capped exponential backoff instead of failing its future;
-    only after ``MAX_TASK_ATTEMPTS`` total attempts does the error
-    surface to the caller (and count toward the query's breaker).
+    chaos harness (:mod:`repro.runtime.faults`).  The driver
+    re-dispatches the task with capped exponential backoff instead of
+    failing its future; only after ``MAX_TASK_ATTEMPTS`` total attempts
+    does the error surface to the caller (and count toward the query's
+    breaker).
     """

@@ -74,8 +74,8 @@ fleet:
   submissions, with the task message, decode, dispatch and result
   round-trips paid once.  A solo submission is the one-member case of
   the same task path, so every task rides the same deadline /
-  result-cap / breaker machinery; the heartbeat's member slot lets a fused failure
-  indict exactly the offending query's breaker.
+  result-cap / breaker machinery; the heartbeat's member slot lets a
+  fused failure indict exactly the offending query's breaker.
 * **Asyncio front-end.**  ``await service.extract(query_id, docs)``
   evaluates a batch without blocking the event loop;
   :meth:`submit` returns a :class:`concurrent.futures.Future` usable
