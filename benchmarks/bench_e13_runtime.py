@@ -299,10 +299,10 @@ def _run_e13k():
     through ``ParallelSpanner`` over each concrete backend at 1 and 4
     workers.  Outputs are asserted byte-identical across every cell —
     the backend choice is a pure performance/isolation trade, never a
-    semantic one.  Informational (reported, not gated): which backend
-    wins depends on the interpreter (GIL vs free-threaded), the
-    document mix and the core count, and the decision table in the
-    README is the operator guidance this table backs with numbers.
+    semantic one.  Informational (reported, not gated): how much the
+    process fleet buys depends on the document mix and the core count,
+    and the decision table in the README is the operator guidance this
+    table backs with numbers.
     """
     automaton = workload_automaton()
     docs = log_corpus(800)
@@ -311,7 +311,7 @@ def _run_e13k():
     bare_s, bare_out = _timed_best(lambda: list(spanner.evaluate_many(docs)))
     table = Table(
         "E13k  backend comparison (ParallelSpanner over the E13a log "
-        "corpus): process vs thread vs serial at 1 and 4 workers",
+        "corpus): process vs serial at 1 and 4 workers",
         ["backend", "workers", "docs", "wall (s)", "docs/s",
          "vs bare serial"],
     )
@@ -319,7 +319,7 @@ def _run_e13k():
         "(bare CompiledSpanner)", 1, len(docs), bare_s,
         len(docs) / bare_s, 1.0,
     )
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         for workers in (1, 4):
             if backend == "serial" and workers > 1:
                 continue  # inline execution has no parallelism to buy
@@ -340,8 +340,7 @@ def _run_e13k():
         "identical tuple sequences asserted per cell; informational "
         "(no gate) — expected shape: serial tracks the bare engine "
         "minus session bookkeeping, process wins CPU-bound throughput "
-        "at 4 workers on a GIL build, thread wins only on "
-        "free-threaded interpreters but always skips spawn/IPC cost "
+        "at 4 workers once enough cores are available "
         f"({available_cpus()} cpu(s) available)"
     )
     return table
@@ -699,7 +698,7 @@ def test_e13_backend_comparison_identical():
     docs = log_corpus(120)
     spanner = CompiledSpanner(automaton)
     serial = list(spanner.evaluate_many(docs))
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         with ParallelSpanner(
             spanner, workers=2, backend=backend, chunk_size=16
         ) as engine:

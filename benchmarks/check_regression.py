@@ -36,9 +36,15 @@ the gate.  The RSS gates additionally only compare records that ran
 the **same experiment set** (peak RSS is a process-lifetime high-water
 mark, so adding an experiment to the trajectory job legitimately
 raises it — that resets the baseline instead of tripping the gate).
-With fewer than two records — including a missing or empty results
-directory, the state of a freshly reset trajectory's first run —
-the gate is skipped with a clear message and exit 0, never a crash.
+The timing gates (E13a docs/s, E10d fused seconds, E13j fused speedup,
+and a custom ``--experiment`` gate) only compare records from the
+**same host**: the harness stamps each record with a ``host``
+fingerprint (CPU model and available CPU count), and a record from
+another host — or one without a fingerprint — is skipped with a
+message instead of read as a regression.  With fewer than two records
+— including a missing or empty results directory, the state of a
+freshly reset trajectory's first run — the gate is skipped with a
+clear message and exit 0, never a crash.
 
 Besides the gates, the checker reports (informationally, never as an
 exit-code failure) the newest record's fleet fault counters — the
@@ -251,12 +257,11 @@ def report_store_counters(records: list[tuple[str, dict]]) -> None:
 def report_backend_comparison(records: list[tuple[str, dict]]) -> None:
     """Informational: the newest record's E13k backend head-to-head.
 
-    Which compute backend wins the E13a workload depends on the
-    interpreter build (GIL vs free-threaded), the core count and the
-    document mix — machine-dependent by design, so this is surfaced
-    for the trajectory reader rather than gated (every cell is already
-    asserted byte-identical inside the benchmark itself).  Records
-    predating E13k stay silent.
+    What the process fleet buys over serial on the E13a workload
+    depends on the core count and the document mix — machine-dependent
+    by design, so this is surfaced for the trajectory reader rather
+    than gated (every cell is already asserted byte-identical inside
+    the benchmark itself).  Records predating E13k stay silent.
     """
     newest_name, newest = records[-1]
     for exp in newest.get("experiments", ()):
@@ -319,6 +324,18 @@ def _same_experiment_set(newest: dict, baseline: dict) -> bool:
     return _experiment_ids(newest) == _experiment_ids(baseline)
 
 
+def _same_host(newest: dict, baseline: dict) -> bool:
+    """Whether two records were timed on the same host.
+
+    Wall-clock metrics are only comparable between runs on the same
+    CPU model with the same CPU count: a slower runner must reset the
+    baseline rather than read as a code regression.  A record without
+    a ``host`` fingerprint is comparable to no other record.
+    """
+    host = newest.get("host")
+    return isinstance(host, dict) and host == baseline.get("host")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One metric watched across the trajectory.
@@ -330,7 +347,8 @@ class Gate:
     gates skip instead, because trajectories genuinely predate them.
 
     ``comparable``: optional predicate restricting which baseline
-    records the newest record may be compared against.
+    records the newest record may be compared against; ``incomparable``
+    says why a record it rejects is skipped.
     """
 
     name: str
@@ -339,6 +357,7 @@ class Gate:
     unit: str = ""
     required: bool = False
     comparable: Callable[[dict, dict], bool] | None = None
+    incomparable: str = "not comparable"
 
     def bound(self, baseline: float, threshold: float) -> float:
         """The worst acceptable newest value for ``baseline``."""
@@ -352,6 +371,18 @@ class Gate:
         return newest > bound
 
 
+#: Gate options restricting a baseline to same-host records (timings)
+#: or to records of the same experiment set (process-lifetime RSS).
+SAME_HOST = dict(
+    comparable=_same_host,
+    incomparable="recorded on another host or without a host fingerprint",
+)
+SAME_EXPERIMENTS = dict(
+    comparable=_same_experiment_set,
+    incomparable="ran a different experiment set",
+)
+
+
 def default_gates() -> list[Gate]:
     return [
         Gate(
@@ -360,32 +391,35 @@ def default_gates() -> list[Gate]:
             lambda r: table_metric(r, "E13", "E13a", "compiled docs/s"),
             unit="docs/s",
             required=True,  # recorded since PR 1: absence = breakage
+            **SAME_HOST,
         ),
         Gate(
             "e10d-fused-seconds",
             LOWER,
             lambda r: table_metric(r, "E10", "E10d", "fused (s)"),
             unit="s",
+            **SAME_HOST,
         ),
         Gate(
             "e13j-fused-speedup",
             HIGHER,
             lambda r: table_metric(r, "E13", "E13j", "fused speedup"),
             unit="x",
+            **SAME_HOST,
         ),
         Gate(
             "peak-rss-kib",
             LOWER,
             lambda r: rss_metric(r, "peak_rss_kb"),
             unit="KiB",
-            comparable=_same_experiment_set,
+            **SAME_EXPERIMENTS,
         ),
         Gate(
             "peak-rss-children-kib",
             LOWER,
             lambda r: rss_metric(r, "peak_rss_children_kb"),
             unit="KiB",
-            comparable=_same_experiment_set,
+            **SAME_EXPERIMENTS,
         ),
     ]
 
@@ -440,6 +474,10 @@ def check_gate(
         if gate.comparable is not None and not gate.comparable(
             newest, payload
         ):
+            print(
+                f"perf-trajectory [{gate.name}]: skipping {name}: "
+                f"{gate.incomparable}"
+            )
             continue
         value = gate.extract(payload)
         if value is not None:
@@ -583,6 +621,7 @@ def main(argv: list[str] | None = None) -> int:
                 # An explicitly requested metric missing from the
                 # newest record is a usage error, as it always was.
                 required=True,
+                **SAME_HOST,
             )
         ]
     return check(

@@ -46,6 +46,7 @@ from . import (
     bench_e13_runtime,
     fig1_ag,
 )
+from .common import available_cpus
 
 EXPERIMENTS = {
     "E1": (bench_e1_delay, "Thm 3.3: polynomial-delay enumeration"),
@@ -106,6 +107,27 @@ def _git_sha() -> str | None:
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() or None
+
+
+def _cpu_model() -> str:
+    """The CPU's model name (``/proc/cpuinfo`` on Linux), falling back
+    to :func:`platform.processor` and then the architecture."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name" and value.strip():
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_fingerprint() -> dict:
+    """What makes two records' timings comparable: the CPU model and
+    the CPUs available to the run.  ``check_regression``'s timing gates
+    compare only records with equal fingerprints."""
+    return {"cpu_model": _cpu_model(), "cpu_count": available_cpus()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -170,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
             "git_sha": _git_sha(),
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "host": host_fingerprint(),
             "experiments": records,
         }
         with open(args.json, "w", encoding="utf-8") as handle:

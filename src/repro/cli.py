@@ -78,6 +78,7 @@ from typing import Iterable
 from .errors import SpannerError
 from .queries import QueryEvaluator, RegexCQ
 from .regex import check_functional, parse
+from .runtime.backends import BACKEND_NAMES
 from .runtime.compiled import CompiledSpanner
 from .spans import SpanRelation, SpanTuple
 from .vset import compile_regex
@@ -720,14 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--backend",
-            choices=("auto", "serial", "thread", "process"),
+            choices=BACKEND_NAMES,
             default="auto",
             help=(
                 "compute substrate for --workers fleets: auto "
-                "(serial at --workers 1, threads on a free-threaded "
-                "interpreter, processes otherwise), serial (inline, "
-                "for debugging), thread (shared-memory workers, no "
-                "pickling), process (isolated OS processes)"
+                "(serial at --workers 1, processes otherwise), serial "
+                "(inline, for debugging), process (isolated OS "
+                "processes)"
             ),
         )
         p.add_argument(

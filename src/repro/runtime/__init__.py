@@ -46,9 +46,9 @@
 * :mod:`.backends` — the pluggable compute layer under the service:
   :class:`ComputeBackend` (the mechanism contract — spawn/recycle
   workers, ship artifacts once per worker lifetime, dispatch, collect,
-  heartbeat/RSS, kill-and-replace) with process, thread and serial
-  implementations selected by ``backend={"auto","serial","thread",
-  "process"}`` on :class:`SpannerService` / :class:`ParallelSpanner`;
+  heartbeat/RSS, kill-and-replace) with process and serial
+  implementations selected by ``backend={"auto","serial","process"}``
+  on :class:`SpannerService` / :class:`ParallelSpanner`;
 * :mod:`.parallel` — :class:`ParallelSpanner`, multiprocess corpus
   sharding over one pickled/rebuilt artifact (``AutomatonTables`` or a
   ``CompiledEqualityQuery``) — since PR 4 a thin single-query session
@@ -89,8 +89,6 @@ __all__ = [
     "ComputeBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "default_backend_name",
     "ArtifactStore",
     "MemoryStore",
     "FileStore",
@@ -132,7 +130,7 @@ def __getattr__(name: str):
 
         return getattr(faults, name)
     if name in ("BACKEND_NAMES", "ComputeBackend", "ProcessBackend",
-                "SerialBackend", "ThreadBackend", "default_backend_name"):
+                "SerialBackend"):
         from . import backends
 
         return getattr(backends, name)

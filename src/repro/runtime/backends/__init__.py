@@ -2,16 +2,14 @@
 
 The mechanism layer under :class:`~repro.runtime.service.SpannerService`
 (see :mod:`repro.runtime.backends.base` for the contract): one seam,
-three substrates — :class:`ProcessBackend` (the extracted original
-multiprocessing fleet), :class:`ThreadBackend` (shared-artifact thread
-pool) and :class:`SerialBackend` (inline execution).
+two substrates — :class:`ProcessBackend` (the extracted original
+multiprocessing fleet) and :class:`SerialBackend` (inline execution).
 """
 
 from .base import (
     BACKEND_NAMES,
     ComputeBackend,
     WorkerHandle,
-    default_backend_name,
     resolve_backend,
 )
 
@@ -19,11 +17,9 @@ __all__ = [
     "BACKEND_NAMES",
     "ComputeBackend",
     "WorkerHandle",
-    "default_backend_name",
     "resolve_backend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
 ]
 
 
@@ -36,8 +32,4 @@ def __getattr__(name: str):  # PEP 562: concrete backends import lazily
         from .serial import SerialBackend
 
         return SerialBackend
-    if name == "ThreadBackend":
-        from .thread import ThreadBackend
-
-        return ThreadBackend
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,64 +11,46 @@ per-document sweep can serve the fleet's tasks.  A
   :class:`WorkerHandle`;
 * ship a query's artifact at most once per worker lifetime (the
   *driver* tracks what was shipped; the backend decides what a
-  "shipment" physically is — pickled bytes for processes, a shared
-  materialized engine for threads);
+  "shipment" physically is — pickled bytes for processes, a
+  materialized engine inline);
 * dispatch task messages and collect result messages (the same wire
   tuples whatever the substrate, so the driver's at-most-once
   resolution, retry and straggler-dropping logic is backend-blind);
 * expose heartbeat / RSS readings per worker;
-* kill-and-replace workers that hang or balloon (where the substrate
-  can — you cannot SIGKILL a thread, and there is nothing to kill
-  inline).
+* kill-and-replace workers that hang or balloon (process workers only;
+  there is nothing to kill inline).
 
 :class:`~repro.runtime.service.SpannerService` is the *policy* layer
 over this contract: registration and admission, circuit breakers,
 result caps, manifests, fusion planning and the submit/extract API are
 all written purely against :class:`ComputeBackend`, so a new substrate
-(a free-threaded pool today; a multi-box driver tomorrow) plugs in
-under every one of those behaviors unchanged.
+(a multi-box driver, say) plugs in under every one of those behaviors
+unchanged.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .serial import SerialBackend
-    from .thread import ThreadBackend
     from .process import ProcessBackend
 
 __all__ = [
     "BACKEND_NAMES",
     "ComputeBackend",
     "WorkerHandle",
-    "default_backend_name",
     "new_heartbeat",
     "stamp_heartbeat",
     "resolve_backend",
 ]
 
-#: Accepted values of every ``backend=`` knob.  ``"auto"`` resolves at
-#: construction time via :func:`default_backend_name`.
-BACKEND_NAMES = ("auto", "serial", "thread", "process")
-
-
-def default_backend_name() -> str:
-    """What ``backend="auto"`` means on this interpreter.
-
-    Free-threaded builds (PEP 703, ``python3.13t``) run threads on all
-    cores with no GIL, so a thread pool gives process-level parallelism
-    without pickling or process spawn — the right
-    default there.  On GIL builds, processes remain the only route to
-    real CPU parallelism.
-    """
-    gil_probe = getattr(sys, "_is_gil_enabled", None)
-    if gil_probe is not None and not gil_probe():
-        return "thread"
-    return "process"
+#: Accepted values of every ``backend=`` knob.  ``"auto"`` resolves to
+#: ``"process"``: every document's sweep is a CPU-bound Python loop, so
+#: separate processes are the only route to more cores.
+BACKEND_NAMES = ("auto", "serial", "process")
 
 
 #: Heartbeat slots: ``[seq, running task id (or -1), monotonic stamp,
@@ -86,7 +68,7 @@ HEARTBEAT_READ_TRIES = 64
 
 
 def new_heartbeat() -> list[float]:
-    """A fresh in-process heartbeat (thread and inline workers)."""
+    """A fresh in-process heartbeat (the inline worker)."""
     return [0.0, -1.0, 0.0, 0.0, -1.0]
 
 
@@ -112,7 +94,7 @@ class WorkerHandle:
     flight, whether the worker is retiring) live here so scheduling,
     recycling and artifact-shipment policy are backend-blind; a
     concrete backend's handle subclass adds the substrate facts
-    (process/thread object, task channel, heartbeat) and implements
+    (process object, task channel, heartbeat) and implements
     :meth:`alive` and :attr:`pid`.  ``heartbeat`` is the worker's
     heartbeat array (see :func:`stamp_heartbeat`): a shared-memory
     array for process workers, :func:`new_heartbeat` otherwise.
@@ -136,8 +118,8 @@ class WorkerHandle:
 
     @property
     def pid(self) -> int | None:
-        """The OS pid serving this worker (the driver's own for
-        thread/inline workers)."""
+        """The OS pid serving this worker (the driver's own for the
+        inline worker)."""
         raise NotImplementedError
 
     def alive(self) -> bool:
@@ -175,20 +157,18 @@ class ComputeBackend(ABC):
 
     * ``name`` — the concrete backend name (``health()`` and the
       restart manifest record it);
-    * ``worker_model`` — what a worker physically is (``"process"``,
-      ``"thread"``, ``"inline"``);
-    * ``supports_kill`` — whether a hung worker can be killed and
-      replaced mid-task; without it the driver's deadline scan is
-      disabled (there is nothing it could do past the deadline);
+    * ``worker_model`` — what a worker physically is (``"process"`` or
+      ``"inline"``), reported by ``health()``;
     * ``inline`` — dispatch executes the task synchronously inside
       :meth:`dispatch` (the serial backend), so the driver should
       drain results immediately after dispatching instead of waiting a
-      collector tick.
+      collector tick.  An inline worker is the caller: it cannot be
+      killed and shares the driver's memory, so the deadline and
+      memory watchdogs are off exactly when ``inline`` is true.
     """
 
     name: str
     worker_model: str
-    supports_kill: bool
     inline: bool = False
 
     def start(self) -> None:
@@ -204,9 +184,9 @@ class ComputeBackend(ABC):
 
         Called once per (worker, query) lifetime, with the registry's
         canonical pickled artifact.  Process workers receive the bytes
-        verbatim (unpickled worker-side); thread and inline workers
-        receive one shared materialized engine per query — built once
-        per backend, never pickled again.
+        verbatim (unpickled worker-side); the inline worker receives
+        one materialized engine per query — built once per backend,
+        never pickled again.
         """
 
     @abstractmethod
@@ -236,7 +216,7 @@ class ComputeBackend(ABC):
     def kill_worker(self, worker: WorkerHandle) -> None:
         """Forcibly end ``worker`` *now* (deadline/memory watchdogs).
 
-        Only called when ``supports_kill`` is true.  After this call
+        Never called on an ``inline`` backend.  After this call
         ``worker.alive()`` is false and any result it was producing is
         at most a straggler.
         """
@@ -271,8 +251,8 @@ def resolve_backend(
     encoding: str = "utf-8",
     errors: str = "strict",
     fault_plan=None,
-) -> "SerialBackend | ThreadBackend | ProcessBackend":
-    """Construct the backend ``backend`` names (resolving ``"auto"``).
+) -> "SerialBackend | ProcessBackend":
+    """Construct the backend ``backend`` names (``"auto"`` is process).
 
     The import is deferred per concrete backend so the serial path
     never imports :mod:`multiprocessing` machinery it will not use.
@@ -281,18 +261,10 @@ def resolve_backend(
         raise ValueError(
             f"backend must be one of {BACKEND_NAMES}, got {backend!r}"
         )
-    if backend == "auto":
-        backend = default_backend_name()
     if backend == "serial":
         from .serial import SerialBackend
 
         return SerialBackend(
-            encoding=encoding, errors=errors, fault_plan=fault_plan
-        )
-    if backend == "thread":
-        from .thread import ThreadBackend
-
-        return ThreadBackend(
             encoding=encoding, errors=errors, fault_plan=fault_plan
         )
     from .process import ProcessBackend

@@ -128,9 +128,9 @@ def compile_in_subprocess(
     The subprocess half of the service's ``compile_timeout`` admission
     control — here rather than in the policy layer because it is
     process-lifecycle mechanism (and the only compile-bounding
-    primitive Python offers; even a thread-backend service uses a
-    throwaway *process* for this, since a runaway compile in a thread
-    could not be stopped).  Raises
+    primitive Python offers; even a serial service uses a throwaway
+    *process* for this, since a runaway compile inline could not be
+    stopped).  Raises
     :class:`~repro.errors.QueryRejectedError` on expiry or child death;
     re-raises the child's own exception on a failed compile.
     ``on_timeout`` fires just before the expiry rejection (and only
@@ -209,7 +209,6 @@ class ProcessBackend(ComputeBackend):
 
     name = "process"
     worker_model = "process"
-    supports_kill = True
 
     def __init__(
         self,

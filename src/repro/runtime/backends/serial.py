@@ -14,9 +14,9 @@ manifests) now works at ``workers=1`` too.
 than waiting a collector tick — a serial service adds no scheduling
 latency over a bare loop.
 
-There is no kill here (``supports_kill = False``): the "worker" is the
-caller.  Deadlines and the memory watchdog are accordingly inert, which
-the service documents as the serial trade-off.  Injected crash faults
+There is no kill here: the "worker" is the caller.  Deadlines and the
+memory watchdog are accordingly inert, which the service documents as
+the serial trade-off.  Injected crash faults
 (raised as :class:`~repro.runtime.faults._InjectedWorkerDeath` under
 ``inline_faults=True``) are caught at the dispatch boundary and mark the
 worker dead with no result — the driver's crash reaping then replaces
@@ -63,8 +63,7 @@ class SerialBackend(ComputeBackend):
 
     name = "serial"
     worker_model = "inline"
-    supports_kill = False  # the worker IS the caller; nothing to kill
-    inline = True
+    inline = True  # the worker IS the caller; nothing to kill
 
     def __init__(
         self,
@@ -135,7 +134,7 @@ class SerialBackend(ComputeBackend):
 
     def kill_worker(self, worker: SerialWorkerHandle) -> None:
         raise AssertionError(
-            "kill_worker on the serial backend (supports_kill is False)"
+            "kill_worker on the serial backend (it is inline)"
         )
 
     def release_worker(self, worker: SerialWorkerHandle) -> None:

@@ -1,8 +1,8 @@
 """The worker execution core, shared by every compute backend.
 
 One task's evaluation is the same code whether the worker is a spawned
-process, a pool thread or the driver itself running inline: materialize
-the shipped artifact at most once per worker, run the exact serial
+process or the driver itself running inline: materialize the shipped
+artifact at most once per worker, run the exact serial
 per-document path under the resolved result caps, stamp the heartbeat
 at task boundaries (and per member per document), and report one tagged
 result message.  Backends differ only in how messages travel and what a
@@ -169,8 +169,8 @@ def materialize_payload(payload: object) -> object:
     """A shipped payload — pickled bytes or a live object — as an engine.
 
     Process workers receive the registry's pickled bytes and unpickle
-    here; thread and inline workers receive the backend's shared
-    pre-materialized engine and pass it through (``materialize`` is
+    here; the inline worker receives the backend's shared
+    pre-materialized engine and passes it through (``materialize`` is
     idempotent on already-materialized engines).
     """
     if isinstance(payload, bytes):
@@ -363,7 +363,7 @@ def run_task(
     ``inline_faults`` selects how an injected ``crash`` manifests: a
     real ``os._exit`` for process workers, the
     :class:`~repro.runtime.faults._InjectedWorkerDeath` control-flow
-    exception for workers sharing the driver's process (thread/inline)
+    exception for the inline worker sharing the driver's process
     — it escapes the ``except Exception`` below by design, so the
     calling backend sees the simulated death, not a task failure.
     """

@@ -71,11 +71,10 @@ _SECONDS = ("quarantine_cooldown",) + _TIMEOUTS
 class FleetConfig:
     """Every plain-value fleet knob, validated at construction.
 
-    A bracketed tag says which backends enforce a knob: *[all]*;
-    *[process]* only — the serial and thread backends share the
-    driver's memory, so they have no per-worker RSS to watch; or
-    *[process, thread]* — the serial backend runs tasks inline and has
-    no worker to kill.
+    A bracketed tag says which backends enforce a knob: *[all]*, or
+    *[process]* only — the serial backend runs tasks inline in the
+    driver, so it has no worker to kill and no per-worker RSS to
+    watch.
 
     Sizing and substrate:
 
@@ -90,11 +89,9 @@ class FleetConfig:
       submission hits the ``on_overload`` policy; ``None`` is
       unbounded.  [all]
     * ``backend`` — ``"process"`` (spawned worker processes; documents
-      ride the pickled task message, SIGKILL deadlines), ``"thread"``
-      (worker threads sharing one materialized engine per query; no
-      pickling), ``"serial"`` (inline execution in the calling thread) or
-      ``"auto"`` (default: thread on free-threaded interpreters,
-      process otherwise; ``ParallelSpanner`` resolves it to serial at
+      ride the pickled task message, SIGKILL deadlines), ``"serial"``
+      (inline execution in the calling thread) or ``"auto"`` (default:
+      process; ``ParallelSpanner`` resolves it to serial at
       ``workers=1``).  Results are byte-identical across backends.
     * ``mp_context`` — a :mod:`multiprocessing` start method
       (``"fork"``, ``"spawn"``, ``"forkserver"``) or ``None`` for the
@@ -115,7 +112,7 @@ class FleetConfig:
       wins, and an explicit ``None`` there disables the inherited
       deadline.  A task past its deadline has its worker killed and
       replaced and fails with :class:`~repro.errors.TaskTimeoutError`.
-      [process, thread]
+      [process]
     * ``quarantine_after`` — consecutive fleet-level failures
       (timeouts, lost workers, exhausted transient retries — not
       ordinary per-task exceptions) before a query's circuit breaker

@@ -89,7 +89,7 @@ class _InjectedWorkerDeath(BaseException):
     """An injected crash on a substrate that shares the driver's process.
 
     ``os._exit`` would take the whole service down when the "worker" is
-    a thread or the inline caller, so crash faults on those backends
+    the inline caller, so crash faults on the serial backend
     raise this instead (``trigger(inline=True)``).  Deliberately a
     ``BaseException``: it must sail through the worker core's per-task
     ``except Exception`` reporting exactly like a SIGKILL gives a
@@ -168,8 +168,8 @@ class FaultSpec:
     def trigger(self, inline: bool = False) -> None:
         """Execute the fault in the worker.  May not return.
 
-        ``inline`` marks substrates sharing the driver's process
-        (thread / serial backends): a crash there raises
+        ``inline`` marks the substrate sharing the driver's process
+        (the serial backend): a crash there raises
         :class:`_InjectedWorkerDeath` for the backend to treat as
         sudden worker death, instead of ``os._exit``-ing the service.
         """

@@ -126,7 +126,7 @@ class ParallelSpanner:
     ):
         config = FleetConfig(**config)
         workers = config.workers or os.cpu_count() or 1
-        # A one-worker "fleet" gains nothing from processes or threads;
+        # A one-worker "fleet" gains nothing from a worker process;
         # "auto" resolves it to inline execution (the old serial
         # fallback, now just another backend under the same session).
         if config.backend == "auto" and workers == 1:

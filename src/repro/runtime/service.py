@@ -371,7 +371,7 @@ class SpannerService:
         config = FleetConfig(**config)
         workers = config.workers or os.cpu_count() or 1
         self.fault_plan = fault_plan
-        #: The mechanism layer: everything process/thread/inline-specific
+        #: The mechanism layer: everything process/inline-specific
         #: (spawn, dispatch, result collection, heartbeats, kill) lives
         #: behind this seam; the service is pure policy over it.
         self._backend = resolve_backend(
@@ -1025,7 +1025,11 @@ class SpannerService:
         silently), or names a query whose artifact is gone *and* that
         has no recompilable source.  A bad override
         fails like a bad constructor keyword (``TypeError`` for an
-        unknown name, ``ValueError`` for an invalid value).
+        unknown name, ``ValueError`` for an invalid value).  So does a
+        manifest whose recorded knob is no longer valid: one written
+        by a ``backend="thread"`` fleet raises ``ValueError`` listing
+        the valid backends, unless ``backend=`` is passed as an
+        override — there is no silent substitution.
         """
         path = Path(manifest_path)
         try:
@@ -2105,7 +2109,7 @@ class SpannerService:
         this same collector pass, so detection-to-replacement is one
         0.05s tick past the deadline.
         """
-        if not self._backend.supports_kill:
+        if self._backend.inline:
             # The serial backend's "worker" is the calling thread:
             # there is nothing to kill, so deadlines are not enforced
             # (documented as the serial trade-off).
@@ -2176,11 +2180,11 @@ class SpannerService:
         hard = self._config.worker_memory_hard_limit
         if soft is None and hard is None:
             return
-        if self._backend.worker_model != "process":
-            # Thread and inline workers share the driver's address
-            # space: their heartbeat RSS is the whole process, so the
-            # per-worker limits would misfire.  The watchdog only
-            # means something where a worker owns its memory.
+        if self._backend.inline:
+            # The inline worker shares the driver's address space: its
+            # heartbeat RSS is the whole process, so the per-worker
+            # limits would misfire.  The watchdog only means something
+            # where a worker owns its memory.
             return
         for worker in list(self._workers):
             if worker.stopped or not worker.alive():

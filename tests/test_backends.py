@@ -8,8 +8,8 @@ the outside:
 
 * the compiled artifact is shipped **at most once per (worker, query)
   lifetime**, whatever the backend means by "ship" (pickled bytes over
-  a queue for processes, a shared materialized engine for threads and
-  the inline worker);
+  a queue for processes, a shared materialized engine for the inline
+  worker);
 * a killed/crashed worker is replaced and the fleet converges with **no
   tuple lost and none duplicated**;
 * backend selection: ``"auto"`` resolution, the resolved name in
@@ -31,12 +31,10 @@ from repro.runtime import (
     CompiledSpanner,
     FaultPlan,
     SpannerService,
-    default_backend_name,
 )
 from repro.runtime.backends import (
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.runtime.backends.base import new_heartbeat, stamp_heartbeat
@@ -52,33 +50,31 @@ def word_serial():
 
 class TestResolution:
     def test_names_and_classes(self):
-        assert BACKEND_NAMES == ("auto", "serial", "thread", "process")
+        assert BACKEND_NAMES == ("auto", "serial", "process")
         assert isinstance(resolve_backend("serial", workers=1), SerialBackend)
-        assert isinstance(resolve_backend("thread", workers=2), ThreadBackend)
         assert isinstance(
             resolve_backend("process", workers=2), ProcessBackend
         )
 
     def test_auto_resolves_to_a_concrete_backend(self):
-        assert default_backend_name() in ("thread", "process")
-        backend = resolve_backend("auto", workers=2)
-        assert backend.name == default_backend_name()
+        assert isinstance(resolve_backend("auto", workers=2), ProcessBackend)
+        assert isinstance(resolve_backend("auto", workers=1), ProcessBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("fiber", workers=2)
         with pytest.raises(ValueError, match="backend"):
             SpannerService(workers=2, backend="fiber")
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            SpannerService(workers=2, backend="thread")
 
     def test_flags_per_backend(self):
-        for name, model, kill, inline in (
-            ("serial", "inline", False, True),
-            ("thread", "thread", True, False),
-            ("process", "process", True, False),
+        for name, model, inline in (
+            ("serial", "inline", True),
+            ("process", "process", False),
         ):
             backend = resolve_backend(name, workers=2)
             assert backend.worker_model == model
-            assert backend.supports_kill is kill
             assert backend.inline is inline
 
 
@@ -114,12 +110,11 @@ class TestArtifactShippedOnce:
         # Every worker that got the artifact got it exactly once.
         assert per_worker and all(n == 1 for n in per_worker.values())
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_shared_backends_materialize_once(self, backend):
-        """Thread and inline workers share one materialized engine per
-        query — respawns and re-shipments reuse it by identity."""
+    def test_shared_backends_materialize_once(self):
+        """Inline workers share one materialized engine per query —
+        respawns and re-shipments reuse it by identity."""
         with SpannerService(
-            workers=2, chunk_size=2, max_tasks_per_worker=1, backend=backend
+            workers=2, chunk_size=2, max_tasks_per_worker=1, backend="serial"
         ) as service:
             inner = service._backend
             qid = service.register(CompiledSpanner(WORD_FORMULA))
@@ -169,16 +164,16 @@ class TestManifestBackend:
         with SpannerService(
             workers=1, backend="auto", manifest_path=manifest
         ) as service:
-            assert service.backend == default_backend_name()  # resolved
+            assert service.backend == "process"  # resolved
             qid = str(service.register(CompiledSpanner(WORD_FORMULA)))
             service.submit(DOCS, queries=qid).result(timeout=120)
         doc = json.loads(open(manifest).read())
         assert doc["format"] == 2
-        assert doc["config"]["backend"] == default_backend_name()
+        assert doc["config"]["backend"] == "process"
 
         revived = SpannerService.restore(manifest)
         try:
-            assert revived.backend == default_backend_name()
+            assert revived.backend == "process"
             out = revived.submit(DOCS, queries=qid).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
         finally:
@@ -213,11 +208,45 @@ class TestManifestBackend:
             assert revived.backend == "process"
         finally:
             revived.close()
-        overridden = SpannerService.restore(manifest, backend="thread")
+        overridden = SpannerService.restore(manifest, backend="serial")
         try:
-            assert overridden.backend == "thread"
+            assert overridden.backend == "serial"
         finally:
             overridden.close()
+
+    @staticmethod
+    def _thread_manifest(tmp_path) -> tuple[str, str]:
+        """A manifest as a fleet on the retired thread backend wrote
+        it, and the id of the query it journals."""
+        import json
+
+        manifest = str(tmp_path / "manifest.json")
+        with SpannerService(
+            workers=1, backend="serial", manifest_path=manifest
+        ) as service:
+            qid = str(service.register(CompiledSpanner(WORD_FORMULA)))
+        doc = json.loads(open(manifest).read())
+        doc["config"]["backend"] = "thread"
+        open(manifest, "w").write(json.dumps(doc))
+        return manifest, qid
+
+    def test_thread_manifest_fails_loudly(self, tmp_path):
+        """No silent substitution: the error names the valid backends."""
+        manifest, _qid = self._thread_manifest(tmp_path)
+        with pytest.raises(ValueError, match="'auto', 'serial', 'process'"):
+            SpannerService.restore(manifest)
+
+    def test_thread_manifest_restores_with_backend_override(
+        self, tmp_path, word_serial
+    ):
+        manifest, qid = self._thread_manifest(tmp_path)
+        revived = SpannerService.restore(manifest, backend="process")
+        try:
+            assert revived.backend == "process"
+            out = revived.submit(DOCS, queries=qid).result(timeout=120)
+            assert canonical(out) == canonical(word_serial)
+        finally:
+            revived.close()
 
 
 class _StallingValue:

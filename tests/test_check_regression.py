@@ -4,7 +4,8 @@ The gate reads committed ``BENCH_*.json`` records and must (a) catch a
 >threshold regression in any watched metric — E13 docs/sec dropping,
 E10d fused timings rising, peak RSS rising — in that metric's bad
 direction, and (b) **never** crash or fail on records that predate a
-metric: old layouts are simply not comparable.
+metric: old layouts are simply not comparable.  Timing gates compare
+only records stamped with the same host fingerprint.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from benchmarks.check_regression import (
 )
 
 
+#: The host fingerprint ``make_record`` stamps by default, so that the
+#: timing gates compare the synthetic records with each other.
+HOST = {"cpu_model": "Test CPU @ 2.0GHz", "cpu_count": 2}
+
+
 def make_record(
     *,
     docs_per_sec: float | None = 1000.0,
@@ -35,6 +41,7 @@ def make_record(
     store_counters: tuple[int, int, int] | None = None,
     backend_rows: list[tuple[str, int, float]] | None = None,
     unix_time: float = 0.0,
+    host: dict | None = HOST,
 ) -> dict:
     """A BENCH_*.json payload shaped like the harness writes it.
 
@@ -44,6 +51,7 @@ def make_record(
     orphans)`` an E13i table; ``backend_rows=[(backend, workers,
     docs_per_s), ...]`` an E13k table; ``None`` (the default) models a
     record from before the respective work, with no such table at all.
+    ``host=None`` models a record from before host fingerprints.
     """
     experiments = []
     if fused_s is not None:
@@ -146,7 +154,10 @@ def make_record(
                 "tables": tables,
             }
         )
-    return {"unix_time": unix_time, "experiments": experiments}
+    record = {"unix_time": unix_time, "experiments": experiments}
+    if host is not None:
+        record["host"] = host
+    return record
 
 
 def write_history(tmp_path, records):
@@ -322,6 +333,86 @@ class TestOldRecordTolerance:
         )
         names = [name for name, _payload in load_records(tmp_path)]
         assert names[-1] == "BENCH_0aaa.json"
+        assert check(tmp_path) == 1
+
+
+class TestSameHost:
+    """The timing gates compare only records from the same host."""
+
+    def test_same_host_drop_past_threshold_fails(self, tmp_path, capsys):
+        # 31% below a same-host baseline: past the 30% threshold.
+        write_history(
+            tmp_path, [make_record(), make_record(docs_per_sec=690.0)]
+        )
+        assert check(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "[e13-docs-per-sec]" in out and "REGRESSION" in out
+        assert "skipping BENCH" not in out
+
+    def test_other_host_records_are_skipped(self, tmp_path, capsys):
+        fast = {"cpu_model": "Faster CPU @ 4.0GHz", "cpu_count": 2}
+        wide = {**HOST, "cpu_count": 8}
+        write_history(
+            tmp_path,
+            [
+                make_record(docs_per_sec=2000.0, host=fast),
+                make_record(docs_per_sec=2000.0, host=wide),
+                make_record(docs_per_sec=690.0),
+            ],
+        )
+        assert check(tmp_path) == 0
+        out = capsys.readouterr().out
+        for name in ("BENCH_0000.json", "BENCH_0001.json"):
+            assert (
+                f"[e13-docs-per-sec]: skipping {name}: recorded on another "
+                "host" in out
+            )
+        assert "no comparable baseline records" in out
+
+    def test_records_without_fingerprint_compare_with_nothing(
+        self, tmp_path, capsys
+    ):
+        write_history(
+            tmp_path,
+            [
+                make_record(docs_per_sec=2000.0, host=None),
+                make_record(docs_per_sec=690.0, host=None),
+            ],
+        )
+        assert check(tmp_path) == 0
+        assert "skipping BENCH_0000.json" in capsys.readouterr().out
+        # A fingerprinted newest record against an unstamped baseline.
+        write_history(
+            tmp_path,
+            [
+                make_record(docs_per_sec=2000.0, host=None),
+                make_record(docs_per_sec=690.0),
+            ],
+        )
+        assert check(tmp_path) == 0
+
+    def test_same_host_baseline_still_binds_among_others(self, tmp_path):
+        # One other-host record in the window does not hide a drop
+        # against the same-host records around it.
+        other = {"cpu_model": "Other CPU", "cpu_count": 2}
+        write_history(
+            tmp_path,
+            [
+                make_record(),
+                make_record(docs_per_sec=100.0, host=other),
+                make_record(),
+                make_record(docs_per_sec=690.0),
+            ],
+        )
+        assert check(tmp_path) == 1
+
+    def test_rss_gates_ignore_the_host(self, tmp_path):
+        # Peak RSS stays gated on the experiment set alone.
+        other = {"cpu_model": "Other CPU", "cpu_count": 2}
+        write_history(
+            tmp_path,
+            [make_record(host=other), make_record(rss_kb=200_000)],
+        )
         assert check(tmp_path) == 1
 
 

@@ -323,6 +323,15 @@ class TestWorkerSharding:
         assert info.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    def test_retired_thread_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["extract", ".*x{a}.*", "--text", "a", "--workers", "2",
+                  "--backend", "thread"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        assert "'auto', 'serial', 'process'" in err
+
 
 class TestFleetFlags:
     """The fleet's governance flags reach the workers unchanged."""

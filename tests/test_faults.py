@@ -57,7 +57,7 @@ from test_service import (
 
 #: Backends whose workers can be killed; the serial backend's worker is
 #: the calling thread, so hang/deadline enforcement is defined out.
-KILLABLE_BACKENDS = ("thread", "process")
+KILLABLE_BACKENDS = ("process",)
 
 #: Deadline used by the hang tests: long enough that healthy tasks
 #: (millisecond-scale) never brush it, short enough to keep the suite
@@ -137,8 +137,8 @@ class TestCrashInjection:
     def test_crash_then_retry_byte_identical(self, word_serial, backend):
         """Task 0 crashes its worker on the first attempt and succeeds
         on re-dispatch: the batch result must not notice — on every
-        backend (process workers die by SIGKILL, thread and inline
-        workers by an injected non-Exception escape)."""
+        backend (process workers die by SIGKILL, the inline worker by
+        an injected non-Exception escape)."""
         plan = FaultPlan().crash(task=0, attempts=(1,))
         with SpannerService(
             workers=2, chunk_size=2, fault_plan=plan, backend=backend
@@ -193,10 +193,7 @@ class TestHangsAndDeadlines:
     ):
         """Acceptance: the hang is detected, the worker killed and
         replaced, and the task's future failed with TaskTimeoutError —
-        all within 2x the configured deadline.  On the thread backend
-        "killed" means abandoned (a daemon thread cannot be stopped);
-        the observable contract — fast failure, fleet replaced, session
-        serviceable — is the same."""
+        all within 2x the configured deadline."""
         plan = FaultPlan().hang(task=0)
         with SpannerService(
             workers=2, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE,

@@ -78,12 +78,12 @@ def serial():
 
 
 # Only the process backend pickles documents into a pipe.  The serial
-# and thread backends hand them over by reference and run the cheaper
-# cases too, to pin that the substrate never shows in the bytes; the
-# 1 MiB sweep (seconds per pass) is spent only where a pipe carries it.
+# backend hands them over by reference and runs the cheaper cases too,
+# to pin that the substrate never shows in the bytes; the 1 MiB sweep
+# (seconds per pass) is spent only where a pipe carries it.
 @pytest.mark.parametrize(
     "backend, case",
-    [(b, c) for b in ("serial", "thread") for c in ("chunk_200k", "hostile")]
+    [("serial", c) for c in ("chunk_200k", "hostile")]
     + [("process", case) for case in CASES],
 )
 def test_pipe_payload_parity(backend, case, serial):
