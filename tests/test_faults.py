@@ -187,6 +187,26 @@ class TestCrashInjection:
 
 
 class TestHangsAndDeadlines:
+    def test_watchdogs_are_off_on_the_inline_backend(self, word_serial):
+        """The serial worker is the caller: it can be neither killed
+        nor measured apart from the driver.  A task that overruns its
+        deadline, on a fleet whose memory limits every RSS reading
+        exceeds, still completes, and neither watchdog acts."""
+        plan = FaultPlan().hang(task=0, seconds=4 * DEADLINE)
+        with SpannerService(
+            workers=1, chunk_size=2, fault_plan=plan, task_timeout=DEADLINE,
+            worker_memory_limit=1, worker_memory_hard_limit=1,
+            backend="serial",
+        ) as svc:
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            out = svc.submit(DOCS, queries=qid).result(timeout=60)
+            assert canonical(out) == canonical(word_serial)
+            health = svc.health()
+            assert health["counters"]["tasks_timed_out"] == 0
+            assert health["counters"]["workers_killed_on_timeout"] == 0
+            assert health["counters"]["workers_killed_on_memory"] == 0
+            assert health["resources"]["memory_recycles"] == 0
+
     @pytest.mark.parametrize("backend", KILLABLE_BACKENDS)
     def test_hung_worker_detected_within_2x_deadline(
         self, word_serial, backend
