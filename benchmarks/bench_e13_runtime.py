@@ -53,8 +53,8 @@ Series reproduced:
   compiling — also the per-query cost of ``SpannerService.restore()``;
   store hit/corrupt counters are stamped into the table;
 * fused multi-query serving (E13j): Q registered queries answering one
-  corpus through ``submit_all`` — one fused task per chunk
-  (``fuse=True``) versus Q sequential scans (``fuse=False``) — with
+  corpus — one multi-query ``submit`` (one fused task per chunk)
+  versus Q single-query ``submit`` calls (Q sequential scans) — with
   per-query outputs asserted byte-identical both ways; the workload is
   scan-dominated (anchored probes over ~16 KiB documents), so the
   speedup column isolates the costs fusion actually shares — the task
@@ -352,11 +352,11 @@ def _run_e13j():
     Q anchored probe queries (distinct needles: on any other document
     the sweep dies on the first character, so per-document evaluation
     is O(1)) registered on one 2-worker fleet, all answering
-    the same ~16 KiB-document corpus through ``submit_all``.
-    ``fuse=False`` dispatches Q independent scans — the pre-fusion
-    serving shape, shipping every document to the workers Q times;
-    ``fuse=True`` serves the whole set from one task per chunk,
-    shipping each document once and demultiplexing tuples per member.
+    the same ~16 KiB-document corpus.  Q single-query ``submit`` calls
+    dispatch Q independent scans — the pre-fusion serving shape,
+    shipping every document to the workers Q times; one multi-query
+    ``submit`` serves the whole set from one task per chunk, shipping
+    each document once and demultiplexing tuples per member.
     Per-query outputs are asserted byte-identical between the two
     modes and against the serial engine.
 
@@ -375,7 +375,7 @@ def _run_e13j():
     """
     n_docs, doc_bytes = 64, 16 * 1024
     table = Table(
-        "E13j  fused multi-query serving (submit_all, 2 workers, "
+        "E13j  fused multi-query serving (submit, 2 workers, "
         "anchored probes over ~16 KiB documents): one fused pass vs "
         "Q sequential scans",
         ["queries", "docs", "sequential (s)", "fused (s)",
@@ -399,8 +399,13 @@ def _run_e13j():
         with SpannerService(workers=2, chunk_size=4) as service:
             ids = [service.register(p) for p in probes]
 
-            def batch(fuse: bool) -> list:
-                futures = service.submit_all(docs, queries=ids, fuse=fuse)
+            def batch(fused: bool) -> list:
+                if fused:
+                    futures = service.submit(docs, queries=ids)
+                else:
+                    futures = {
+                        qid: service.submit(docs, queries=qid) for qid in ids
+                    }
                 return [futures[qid].result() for qid in ids]
 
             batch(True)  # warm: artifacts and the fused engine shipped
@@ -418,10 +423,10 @@ def _run_e13j():
         "sequential vs serial at every Q; anchored probes exit the "
         "sweep on the first character, so the measured cost is the "
         "shared scan machinery (task message, decode, dispatch) the "
-        "sequential path pays Q times; Q=1 routes through the same "
-        "plan_submission decision point and degrades to one sequential "
-        "scan (speedup ~1 by construction) — target: fused beats Q "
-        "sequential scans from Q >= 4"
+        "sequential path pays Q times; at Q=1 the multi-query submit "
+        "has one member and serves it as one sequential scan (speedup "
+        "~1 by construction) — target: fused beats Q sequential scans "
+        "from Q >= 4"
     )
     return table
 
@@ -785,10 +790,10 @@ def test_e13_governed_fleet_identical():
 
 
 def test_e13_fused_vs_sequential_identical():
-    """CI smoke: submit_all over a mixed query set — two dictionary
-    extractors and a fused equality query — must produce per-query
-    results byte-identical between fused tasks (``fuse=True``),
-    Q sequential scans (``fuse=False``) and the serial engines.
+    """CI smoke: a multi-query submit over a mixed query set — two
+    dictionary extractors and a fused equality query — must produce
+    per-query results byte-identical between fused tasks, Q
+    single-query submits (sequential scans) and the serial engines.
     Identity asserts only, no wall-clock bound (the fused economics
     live in the E13j table)."""
     from .bench_e10_equality import _wide_dedup_query, _wide_text
@@ -808,8 +813,8 @@ def test_e13_fused_vs_sequential_identical():
 
     with SpannerService(workers=2, chunk_size=8) as service:
         ids = [service.register(e) for e in engines]
-        fused = service.submit_all(docs, queries=ids)
-        sequential = service.submit_all(docs, queries=ids, fuse=False)
+        fused = service.submit(docs, queries=ids)
+        sequential = {qid: service.submit(docs, queries=qid) for qid in ids}
         for qid, expected in zip(ids, serial):
             assert _canonical(fused[qid].result()) == _canonical(expected)
             assert _canonical(sequential[qid].result()) == _canonical(

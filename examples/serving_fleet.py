@@ -102,9 +102,9 @@ def main() -> None:
 
         # -- asyncio front-end ---------------------------------------------
         async def serve() -> None:
-            one, two = await service.gather(
-                service.extract(q_comp, lines[:10]),
-                service.extract(q_code, lines[:10]),
+            one, two = await asyncio.gather(
+                service.extract(lines[:10], queries=q_comp),
+                service.extract(lines[:10], queries=q_code),
             )
             hits = sum(map(len, one)) + sum(map(len, two))
             print(f"\nasyncio front-end: {hits} tuples from two queries")

@@ -46,10 +46,9 @@ Subcommands:
   (warm start across CLI invocations) and persist what they compile.
 
 Multi-query fleet runs (``extract`` with several formulas, ``query``
-with ``--next-query``) default to **fused serving**: one task per
-chunk answers every query, demultiplexed per query with output bytes
-identical to per-query submissions; ``--no-fuse`` forces one task per
-query per chunk (same bytes, more round-trips).
+with ``--next-query``) use **fused serving**: one task per chunk
+answers every query, demultiplexed per query with output bytes
+identical to per-query submissions.
 
 Examples::
 
@@ -252,11 +251,9 @@ def _extract_fleet(
 
     Every formula is registered on one :class:`SpannerService`, so the
     workers hold each compiled artifact at most once, and the whole
-    batch goes through one :meth:`submit_all` — with ``--fuse`` (the
-    default) one fused task per chunk answers every formula at once;
-    ``--no-fuse`` dispatches one task per formula per chunk.
-    Output is grouped query-major then file-major, exactly as the
-    serial loop prints it, fused or not.
+    batch goes through one multi-query :meth:`submit`, where one fused
+    task per chunk answers every formula at once.  Output is grouped
+    query-major then file-major, exactly as the serial loop prints it.
     """
     from .runtime.service import SpannerService
 
@@ -271,14 +268,13 @@ def _extract_fleet(
         # is identical either way).  A rejection surfaces as
         # ``error: query rejected: ...`` before any worker time.
         query_ids = [service.register(formula) for formula in formulas]
-        # One submit_all for the whole batch (deduplicated: repeating a
+        # One submit for the whole batch (deduplicated: repeating a
         # formula repeats its rendering below, not its evaluation).
-        futures = service.submit_all(
+        futures = service.submit(
             args.file,
             queries=list(dict.fromkeys(query_ids)),
             kind="files",
             limit=args.limit,
-            fuse=args.fuse,
         )
         for i, qid in enumerate(query_ids):
             try:
@@ -539,10 +535,9 @@ def _query_fleet(
     The ``query`` twin of :func:`_extract_fleet`: every CQ's compiled
     engine (fused equality artifact or plain spanner) registers on one
     :class:`SpannerService`, the document batch goes through one
-    :meth:`submit_all` — one fused task per chunk with ``--fuse``
-    (default), one per query with ``--no-fuse`` — and output is grouped
-    query-major (q0, q1, ...) then document-major, byte-identical to
-    running each query serially.
+    multi-query :meth:`submit` — one fused task per chunk — and output
+    is grouped query-major (q0, q1, ...) then document-major,
+    byte-identical to running each query serially.
     """
     if args.strategy == "canonical":
         raise SpannerError(
@@ -566,11 +561,10 @@ def _query_fleet(
         artifact_store=_artifact_store(args), **fleet
     ) as service:
         query_ids = [service.register(engine) for engine in engines]
-        futures = service.submit_all(
+        futures = service.submit(
             [text for _name, text in docs],
             queries=list(dict.fromkeys(query_ids)),
             limit=limit,
-            fuse=args.fuse,
         )
         for i, (query, qid) in enumerate(zip(queries, query_ids)):
             per_doc = futures[qid].result()
@@ -812,17 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument(
-            "--fuse",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help=(
-                "serve multi-query --workers batches through one fused "
-                "task per chunk answering every query at once (default); "
-                "--no-fuse forces one task per query — output bytes are "
-                "identical either way"
-            ),
-        )
-        p.add_argument(
             "--artifact-cache",
             metavar="DIR",
             help=(
@@ -891,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
             "start another CQ: the --atom/--head/--equal before each "
             "--next-query form one query; several queries print q0-, "
             "q1-, ... prefixed rows and share one fleet with --workers "
-            "(fused into one task per chunk unless --no-fuse)"
+            "(fused into one task per chunk)"
         ),
     )
     p_query.add_argument(

@@ -31,13 +31,13 @@
   compiled artifacts behind warm ``register()`` starts and
   :meth:`SpannerService.restore` (atomic durable writes, checksummed
   versioned headers, corrupt-entry quarantine, LRU byte budgets);
-* :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine` and
-  :func:`plan_submission`, the multi-query fusion layer: a registered
-  query set unioned into one tagged engine served by one task per
-  chunk (the Theorem 3.11 union shape, generalized to arbitrary
-  members; each member runs its own sweep) with per-member tuple
-  streams byte-identical to sequential serving, behind
-  :meth:`SpannerService.extract_all`;
+* :mod:`.fusion` — :class:`FusedQuery` / :class:`FusedEngine`, the
+  multi-query fusion layer: a registered query set unioned into one
+  tagged engine served by one task per chunk (the Theorem 3.11 union
+  shape, generalized to arbitrary members; each member runs its own
+  sweep) with per-member tuple streams byte-identical to sequential
+  serving, behind a multi-query :meth:`SpannerService.submit` (or its
+  ``await``-able twin :meth:`SpannerService.extract`);
 * :mod:`.faults` — :class:`FaultPlan` / :class:`FaultSpec`, the
   deterministic fault-injection harness the chaos suite threads into
   fleet workers (hangs, crashes, slow decodes, transient failures at
@@ -77,7 +77,6 @@ __all__ = [
     "QueryHandle",
     "FusedQuery",
     "FusedEngine",
-    "plan_submission",
     "equality_join",
     "CacheStats",
     "LRUCache",
@@ -113,7 +112,7 @@ def __getattr__(name: str):
         from . import service
 
         return getattr(service, name)
-    if name in ("FusedQuery", "FusedEngine", "plan_submission"):
+    if name in ("FusedQuery", "FusedEngine"):
         from . import fusion
 
         return getattr(fusion, name)

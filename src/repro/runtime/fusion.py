@@ -50,7 +50,6 @@ __all__ = [
     "fused_fingerprint",
     "fused_query_id",
     "plan_cohorts",
-    "plan_submission",
     "FUSED_ID_PREFIX",
 ]
 
@@ -80,21 +79,6 @@ def fused_query_id(member_shas: Iterable[str]) -> str:
         "\0".join(sorted(member_shas)).encode("ascii")
     ).hexdigest()
     return FUSED_ID_PREFIX + digest[:16]
-
-
-def plan_submission(
-    member_ids: Sequence[str], *, fuse: bool = True
-) -> tuple[str, tuple[str, ...]]:
-    """The fused-vs-sequential decision of ``SpannerService.submit_all``.
-
-    Fusion pays off only when at least two members share one task.
-
-    Returns ``("fused", ids)`` or ``("sequential", ids)``.
-    """
-    ids = tuple(member_ids)
-    if fuse and len(ids) >= 2:
-        return ("fused", ids)
-    return ("sequential", ids)
 
 
 def plan_cohorts(

@@ -56,12 +56,6 @@ tiny documents will not — stay serial (``workers=1``) there.
 
 from __future__ import annotations
 
-# Process management lives in .service now, but multiprocessing stays
-# imported here on purpose: the workers=1 contract ("never touches
-# multiprocessing") is asserted by patching this module's reference to
-# it — and get_context is one shared module-level function, so the
-# patch guards the fleet path too.
-import multiprocessing  # noqa: F401  (contract hook, see above)
 import os
 from collections import deque
 from dataclasses import asdict, replace
@@ -207,13 +201,13 @@ class ParallelSpanner:
         after ``limit`` enumeration steps instead of materializing
         (and shipping back) the full result.
         """
-        yield from self._shard(docs, "evaluate", limit)
+        yield from self._shard(docs, "docs", limit=limit)
 
     def count_many(
         self, docs: Iterable[str], cap: int | None = None
     ) -> Iterator[int]:
         """Per-document distinct-tuple counts across the worker fleet."""
-        yield from self._shard(docs, "count", cap)
+        yield from self._shard(docs, "counts", cap=cap)
 
     def evaluate_files(
         self, paths: Iterable[str], *, limit: int | None = None
@@ -229,11 +223,9 @@ class ParallelSpanner:
         decode failures raise ``UnicodeDecodeError`` unless an
         ``encoding``/``errors`` pair that accepts the bytes was set.
         """
-        yield from self._shard(paths, "files", limit)
+        yield from self._shard(paths, "files", limit=limit)
 
-    def _shard(
-        self, docs: Iterable[str], op: str, extra: int | None
-    ) -> Iterator:
+    def _shard(self, docs: Iterable[str], kind: str, **bound) -> Iterator:
         """Chunked, backpressured, order-preserving dispatch loop.
 
         Chunks are submitted in input order and results collected from
@@ -248,11 +240,11 @@ class ParallelSpanner:
         if not first:
             return  # empty corpus: don't spin up (or touch) any fleet
         if self._pool is not None:
-            yield from self._drive(self._pool, first, it, op, extra)
+            yield from self._drive(self._pool, first, it, kind, bound)
         else:
             pool = self._make_pool()
             try:
-                yield from self._drive(pool, first, it, op, extra)
+                yield from self._drive(pool, first, it, kind, bound)
             finally:
                 pool.close(drain=False)
 
@@ -261,15 +253,17 @@ class ParallelSpanner:
         pool: SpannerService,
         first: list[str],
         it: Iterator[str],
-        op: str,
-        extra: int | None,
+        kind: str,
+        bound: dict,
     ) -> Iterator:
         query_id = self._query_id
         assert query_id is not None
+        # Each chunk holds at most the fleet's chunk_size items, so each
+        # submit below is exactly one task.
         pending: deque = deque()
         try:
             pending.append(
-                pool.submit_chunk(query_id, first, op=op, extra=extra)
+                pool.submit(first, queries=query_id, kind=kind, **bound)
             )
             exhausted = False
             while pending:
@@ -279,9 +273,7 @@ class ParallelSpanner:
                         exhausted = True
                         break
                     pending.append(
-                        pool.submit_chunk(
-                            query_id, chunk, op=op, extra=extra
-                        )
+                        pool.submit(chunk, queries=query_id, kind=kind, **bound)
                     )
                 yield from pending.popleft().result()
         finally:

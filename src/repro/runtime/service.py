@@ -65,21 +65,22 @@ fleet:
   runs the compilation under the fleet's deadline pattern —
   :class:`~repro.errors.QueryRejectedError` instead of an unbounded
   compile.  ``health()['resources']`` reports all of it.
-* **Multi-query fusion.**  ``submit_all(docs)`` (and the
-  ``await``-able ``extract_all``) serves one batch to *every*
-  registered query with one task per chunk: the members are fused
-  into one tagged engine (:mod:`repro.runtime.fusion`) that runs each
-  member's own sweep per document, demultiplexed per query — per-query
-  streams byte-identical (content and order) to Q sequential
+* **Multi-query fusion.**  ``submit(docs)`` (and the ``await``-able
+  ``extract``) serves one batch to *every* registered query — or to a
+  ``queries=[...]`` subset — with one task per chunk: the members are
+  fused into one tagged engine (:mod:`repro.runtime.fusion`) that runs
+  each member's own sweep per document, demultiplexed per query —
+  per-query streams byte-identical (content and order) to Q sequential
   submissions, with the task message, decode, dispatch and result
   round-trips paid once.  A solo submission is the one-member case of
   the same task path, so every task rides the same deadline /
   result-cap / breaker machinery; the heartbeat's member slot lets a
   fused failure indict exactly the offending query's breaker.
-* **Asyncio front-end.**  ``await service.extract(query_id, docs)``
-  evaluates a batch without blocking the event loop;
-  :meth:`submit` returns a :class:`concurrent.futures.Future` usable
-  from sync code or (via :meth:`gather`) from coroutines.  In-flight
+* **Asyncio front-end.**  ``await service.extract(docs, queries=logs)``
+  evaluates a batch without blocking the event loop; :meth:`submit`
+  takes the same arguments and returns
+  :class:`concurrent.futures.Future` objects usable from sync code
+  (or, through :func:`asyncio.wrap_future`, from coroutines).  In-flight
   work is bounded by ``max_in_flight`` chunks (submission blocks — in
   a coroutine, parks in a thread — once the bound is hit), the
   backpressure that keeps an unbounded caller from flooding the task
@@ -97,12 +98,14 @@ the worker count, chunking, recycling or crash history.
     with SpannerService(workers=4) as service:
         logs = service.register(".*level{ERROR|WARN}.*")
         mail = service.register("(ε|.* )m{u{[a-z]+}@d{[a-z]+\\.[a-z]+}}( .*|ε)")
-        f1 = service.submit(logs, log_lines)      # both queries share
-        f2 = service.submit(mail, mail_bodies)    # ... the same workers
+        f1 = service.submit(log_lines, queries=logs)      # both queries
+        f2 = service.submit(mail_bodies, queries=mail)    # share workers
         answers = f1.result(), f2.result()
+        both = service.submit(log_lines)   # {logs: Future, mail: Future}
 
-    async def serve():
-        async with_service...  # or: await service.extract(logs, docs)
+    async def serve(service):
+        answers = await service.extract(log_lines, queries=logs)
+        per_query = await service.extract(log_lines)    # fused, a dict
 """
 
 from __future__ import annotations
@@ -134,7 +137,6 @@ from ..errors import (
     TaskTimeoutError,
     TransientTaskError,
 )
-from ..spans import SpanTuple
 from ..vset.automaton import VSetAutomaton
 from .backends.base import WorkerHandle, resolve_backend
 from .compiled import CompiledSpanner, estimate_compile_states
@@ -146,7 +148,6 @@ from .fusion import (
     FusedQuery,
     fused_fingerprint,
     fused_query_id,
-    plan_submission,
 )
 from .store import (
     ArtifactStore,
@@ -469,8 +470,9 @@ class SpannerService:
         """The registered query ids, in registration order.
 
         Fused pseudo-entries (internal engines the fleet builds to
-        serve ``submit_all`` in one task per chunk) are plumbing, not registered
-        queries, and are filtered out here as everywhere public.
+        serve a multi-query ``submit`` in one task per chunk) are
+        plumbing, not registered queries, and are filtered out here as
+        everywhere public.
         """
         with self._lock:
             return tuple(
@@ -1277,37 +1279,6 @@ class SpannerService:
             self._closed = True
 
     # -- Submission ---------------------------------------------------------
-    def submit_chunk(
-        self,
-        query_id: str,
-        items: Sequence[str],
-        *,
-        op: str = "evaluate",
-        extra: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
-        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-    ) -> Future:
-        """Dispatch one chunk; returns the future of its result list.
-
-        The building block
-        :class:`~repro.runtime.parallel.ParallelSpanner`'s streaming
-        sessions fan out over.  While ``max_in_flight`` chunks are
-        already outstanding the ``on_overload`` policy applies (block,
-        reject, or shed the oldest backlogged task).  ``timeout``
-        overrides the query/service deadline for this chunk alone, and
-        ``max_tuples`` / ``max_result_bytes`` the query/service result
-        caps (per document; explicit ``None`` disables an inherited
-        cap).  Raises :class:`~repro.errors.QueryQuarantinedError` —
-        before consuming an in-flight slot or any worker time — while
-        the query's circuit breaker is open.
-        """
-        items = list(items)
-        return self._submit_batch(
-            query_id, items, op, extra, timeout, max_tuples,
-            max_result_bytes, chunk_size=max(len(items), 1),
-        )
-
     def _submit_batch(
         self,
         query_id: str,
@@ -1317,8 +1288,6 @@ class SpannerService:
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         max_tuples: int | None = _UNSET,  # type: ignore[assignment]
         max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-        *,
-        chunk_size: int | None = None,
     ) -> Future:
         """One query's batch: the member future of a one-member
         :meth:`_serve` (no fused engine, no pseudo-registry entry)."""
@@ -1336,7 +1305,7 @@ class SpannerService:
                 raise KeyError(f"unknown query id {query_id!r}")
         return self._serve(
             (query_id,), items, op, extra, timeout, max_tuples,
-            max_result_bytes, chunk_size,
+            max_result_bytes,
         )[query_id]
 
     @staticmethod
@@ -1363,7 +1332,6 @@ class SpannerService:
         timeout,
         max_tuples,
         max_result_bytes,
-        chunk_size: int | None = None,
     ) -> "dict[str, Future]":
         """Admit, resolve and dispatch one batch for ``members``.
 
@@ -1402,7 +1370,7 @@ class SpannerService:
         engine_id = (
             members[0] if len(members) == 1 else self._ensure_fused(members)
         )
-        size = chunk_size or self._config.chunk_size
+        size = self._config.chunk_size
         chunk_futures = [
             self._dispatch_chunk(
                 engine_id, members, items[i : i + size], op, extra,
@@ -1531,8 +1499,8 @@ class SpannerService:
                 None,
             )
 
-    #: ``kind`` values the unified :meth:`submit` core accepts, and the
-    #: worker op each maps to.
+    #: ``kind`` values :meth:`submit` accepts, and the worker op each
+    #: maps to.
     _SUBMIT_KINDS = {"docs": "evaluate", "files": "files", "counts": "count"}
 
     def submit(
@@ -1546,33 +1514,46 @@ class SpannerService:
         timeout: float | None = _UNSET,  # type: ignore[assignment]
         max_tuples: int | None = _UNSET,  # type: ignore[assignment]
         max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-        fuse: bool = True,
     ):
         """Evaluate a batch of work against one or many queries.
 
-        The unified submission core every other entry point is a thin
-        wrapper over.  ``work`` is the batch (documents for
-        ``kind="docs"``/``"counts"``, file paths for ``kind="files"``);
-        ``queries`` selects what runs against it:
+        The fleet's one submission entry point (:meth:`extract` is its
+        ``await``-able twin).  ``work`` is the batch: documents for
+        ``kind="docs"``, file paths (read worker-side) for
+        ``kind="files"``, documents to count distinct tuples in (no
+        tuple decoding) for ``kind="counts"``.  ``queries`` selects
+        what runs against it:
 
         * a single query id (or :class:`QueryHandle`) — returns one
           :class:`~concurrent.futures.Future` resolving to one result
-          per item, exactly the pre-redesign behavior;
+          per item;
         * a sequence of ids — returns ``{query_id: Future}``, served
-          fused (one task per chunk answers every member, demultiplexed
-          per query) whenever ``fuse`` is true, at least two members
-          are admissible, and ``kind`` is not ``"counts"``; falls back
-          to per-query sequential submission otherwise.  Per-query
-          results are byte-identical (content *and* order) either way;
+          fused (one task per chunk answers every member,
+          demultiplexed per query) whenever at least two members are
+          admissible, ``kind`` is not ``"counts"`` (a count is one
+          integer per document; there is no fused count op) and
+          ``max_compile_states`` admits the fused engine; one
+          submission per query otherwise.  Per-query results are
+          byte-identical (content *and* order) either way.  Members
+          whose circuit breaker is open fail their own future with
+          :class:`~repro.errors.QueryQuarantinedError` without
+          blocking the rest; a fleet-level failure of a fused task
+          charges only the member the heartbeat indicts (or all
+          members when it died in the task's shared phase);
         * ``None`` — every registered query, as a sequence.
 
-        Documents are split into ``chunk_size`` tasks balanced across
-        the fleet; each combined result is concatenated in input order —
-        byte-identical to the serial ``evaluate_many``.  ``limit``
-        bounds tuples per document (``cap`` likewise for ``"counts"``);
-        ``timeout`` overrides the per-task deadline for every chunk of
-        this batch, ``max_tuples`` / ``max_result_bytes`` the
-        per-document result caps.
+        Items are split into ``chunk_size`` tasks balanced across the
+        fleet; each combined result is concatenated in input order —
+        byte-identical to the serial ``evaluate_many``.  While
+        ``max_in_flight`` chunks are outstanding the ``on_overload``
+        policy applies.  ``limit`` bounds tuples per document (``cap``
+        likewise for ``"counts"``); ``timeout`` overrides the
+        query/service deadline for every chunk of this batch, and
+        ``max_tuples`` / ``max_result_bytes`` the per-document result
+        caps (explicit ``None`` disables an inherited limit).  A single
+        query whose breaker is open raises
+        :class:`~repro.errors.QueryQuarantinedError` before consuming
+        an in-flight slot or any worker time.
         """
         if kind not in self._SUBMIT_KINDS:
             raise ValueError(
@@ -1586,95 +1567,6 @@ class SpannerService:
                 queries, work, op, extra, timeout,
                 max_tuples, max_result_bytes,
             )
-        return self._submit_all(
-            work, queries, kind, limit, cap, timeout,
-            max_tuples, max_result_bytes, fuse,
-        )
-
-    def submit_files(
-        self,
-        work,
-        *,
-        queries=None,
-        limit: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
-        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-        fuse: bool = True,
-    ):
-        """Like :meth:`submit` with ``kind="files"`` — workers read the
-        documents by path."""
-        return self.submit(
-            work, queries=queries, kind="files", limit=limit,
-            timeout=timeout, max_tuples=max_tuples,
-            max_result_bytes=max_result_bytes, fuse=fuse,
-        )
-
-    def submit_counts(
-        self,
-        work,
-        *,
-        queries=None,
-        cap: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-    ):
-        """Per-document distinct-tuple counts (no tuple decoding).
-
-        :meth:`submit` with ``kind="counts"`` — always sequential (a
-        count is one integer per document; there is no fused count op).
-        """
-        return self.submit(work, queries=queries, kind="counts", cap=cap,
-                           timeout=timeout)
-
-    def submit_all(
-        self,
-        work,
-        *,
-        queries: "Sequence[str] | None" = None,
-        kind: str = "docs",
-        limit: int | None = None,
-        cap: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
-        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
-        fuse: bool = True,
-    ) -> "dict[str, Future]":
-        """Evaluate one batch against many queries; ``{query_id: Future}``.
-
-        The multi-query face of :meth:`submit`: ``queries=None`` means
-        every registered query.  With ``fuse=True`` (the default) and
-        at least two admissible members, the fleet serves the batch
-        through one *fused* engine — one task per chunk answers every
-        member, results demultiplexed per query in the exact order (and
-        bytes) Q sequential submissions would produce.  Members whose
-        circuit breaker is open fail their own future with
-        :class:`~repro.errors.QueryQuarantinedError` without blocking
-        the rest; a fleet-level failure of a fused task charges only
-        the member the heartbeat indicts (or all members when it died
-        in the task's shared phase).
-        """
-        return self._submit_all(
-            work, queries, kind, limit, cap, timeout,
-            max_tuples, max_result_bytes, fuse,
-        )
-
-    def _submit_all(
-        self,
-        work,
-        queries,
-        kind: str,
-        limit,
-        cap,
-        timeout,
-        max_tuples,
-        max_result_bytes,
-        fuse: bool,
-    ) -> "dict[str, Future]":
-        if kind not in self._SUBMIT_KINDS:
-            raise ValueError(
-                f"kind must be one of {tuple(self._SUBMIT_KINDS)}, "
-                f"got {kind!r}"
-            )
         items = list(work)
         member_ids = (
             list(self.queries)
@@ -1682,9 +1574,7 @@ class SpannerService:
             else [str(q) for q in queries]
         )
         if len(set(member_ids)) != len(member_ids):
-            raise ValueError("duplicate query ids in submit_all")
-        op = self._SUBMIT_KINDS[kind]
-        extra = cap if kind == "counts" else limit
+            raise ValueError("duplicate query ids in submit")
         out: "dict[str, Future]" = {}
         candidates: list[str] = []
         with self._lock:
@@ -1699,29 +1589,32 @@ class SpannerService:
                     out[qid] = refused
                 else:
                     candidates.append(qid)
-        mode, ordered = plan_submission(
-            candidates, fuse=fuse and kind != "counts"
-        )
-        if mode == "fused" and not self._fused_admissible(ordered):
-            mode = "sequential"
-        if mode == "sequential":
-            for qid in ordered:
-                try:
-                    out[qid] = self._submit_batch(
-                        qid, items, op, extra, timeout,
-                        max_tuples, max_result_bytes,
-                    )
-                except QueryQuarantinedError as err:  # raced a breaker
-                    refused = Future()
-                    refused.set_exception(err)
-                    out[qid] = refused
+        if (
+            len(candidates) >= 2
+            and kind != "counts"
+            and self._fused_admissible(candidates)
+        ):
+            self._check_limits(timeout, max_tuples, max_result_bytes)
+            out.update(self._serve(
+                tuple(sorted(candidates)), items, op, extra, timeout,
+                max_tuples, max_result_bytes,
+            ))
             return out
-        self._check_limits(timeout, max_tuples, max_result_bytes)
-        out.update(self._serve(
-            tuple(sorted(ordered)), items, op, extra, timeout,
-            max_tuples, max_result_bytes,
-        ))
+        for qid in candidates:
+            try:
+                out[qid] = self._submit_batch(
+                    qid, items, op, extra, timeout,
+                    max_tuples, max_result_bytes,
+                )
+            except QueryQuarantinedError as err:  # raced a breaker
+                refused = Future()
+                refused.set_exception(err)
+                out[qid] = refused
         return out
+
+    #: The serving benchmark (``servebench/``) still calls this name;
+    #: drop the alias together with its last call there.
+    submit_all = submit
 
     def _quarantine_error_locked(
         self, query_id: str
@@ -1806,110 +1699,62 @@ class SpannerService:
         return fused_qid
 
     # -- Asyncio front-end --------------------------------------------------
-    async def extract(
+    def extract(
         self,
-        query_id: str,
-        docs: Iterable[str],
+        work,
         *,
+        queries=None,
+        kind: str = "docs",
         limit: int | None = None,
+        cap: int | None = None,
         timeout: float | None = _UNSET,  # type: ignore[assignment]
-    ) -> list[list[SpanTuple]]:
-        """``await``-able :meth:`submit`: one ``list[SpanTuple]`` per doc.
+        max_tuples: int | None = _UNSET,  # type: ignore[assignment]
+        max_result_bytes: int | None = _UNSET,  # type: ignore[assignment]
+    ) -> "Awaitable[list | dict[str, list]]":
+        """``await``-able :meth:`submit`, with the same arguments.
 
-        Submission happens in a thread (it may block on the
-        ``max_in_flight`` backpressure bound), so the event loop never
-        stalls.  Cancelling the coroutine abandons the result — the
-        chunks already dispatched still complete worker-side and the
-        fleet stays fully serviceable.  A chunk that exceeds its
-        deadline (``timeout`` here, else the query/service default)
-        rejects the ``await`` with
+        Resolves to what :meth:`submit`'s futures resolve to: one
+        result list for a single query id, ``{query_id: results}`` for
+        a sequence (or ``None``), from one fused document scan
+        wherever :meth:`submit` fuses.  Submission happens in a thread
+        (it may block on the ``max_in_flight`` backpressure bound), so
+        the event loop never stalls.  Cancelling the ``await``
+        abandons the result — the chunks already dispatched still
+        complete worker-side and the fleet stays fully serviceable.  A
+        chunk past its deadline rejects the ``await`` with
         :class:`~repro.errors.TaskTimeoutError` — a clean exception on
         the awaiting coroutine, never a wedged event loop.
-        """
-        docs = list(docs)
-        future = await asyncio.to_thread(
-            lambda: self.submit(
-                docs, queries=query_id, limit=limit, timeout=timeout
-            )
-        )
-        return await asyncio.wrap_future(future)
-
-    async def extract_files(
-        self,
-        query_id: str,
-        paths: Iterable[str],
-        *,
-        limit: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-    ) -> list[list[SpanTuple]]:
-        """``await``-able :meth:`submit_files`."""
-        paths = list(paths)
-        future = await asyncio.to_thread(
-            lambda: self.submit(
-                paths, queries=query_id, kind="files", limit=limit,
-                timeout=timeout,
-            )
-        )
-        return await asyncio.wrap_future(future)
-
-    def extract_all(
-        self,
-        docs: Iterable[str],
-        *,
-        queries: "Sequence[str] | None" = None,
-        limit: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        fuse: bool = True,
-    ) -> "Awaitable[dict[str, list[list[SpanTuple]]]]":
-        """``await``-able :meth:`submit_all`: every query's answer to one
-        batch, ``{query_id: [per-doc tuple lists]}``, from one fused
-        document scan whenever fusion applies.  Per-query results are
-        byte-identical to awaiting Q separate :meth:`extract` calls.
 
         Call it from a running event loop: a synchronous call raises
-        ``RuntimeError`` at once (use :meth:`submit_all` there) instead
-        of returning a coroutine that never runs.
+        ``RuntimeError`` at once (use :meth:`submit` there) instead of
+        returning a coroutine that never runs.
         """
-        _require_running_loop("extract_all", "submit_all(docs)")
-        return self._extract_all(docs, "docs", queries, limit, timeout, fuse)
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            raise RuntimeError(
+                "SpannerService.extract() must be awaited inside a running "
+                "event loop; from synchronous code call service.submit() "
+                "and read its futures"
+            ) from None
+        items = list(work)
 
-    def extract_all_files(
-        self,
-        paths: Iterable[str],
-        *,
-        queries: "Sequence[str] | None" = None,
-        limit: int | None = None,
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        fuse: bool = True,
-    ) -> "Awaitable[dict[str, list[list[SpanTuple]]]]":
-        """``await``-able :meth:`submit_all` with ``kind="files"``; like
-        :meth:`extract_all`, it raises when no event loop is running."""
-        _require_running_loop("extract_all_files", "submit_files(paths)")
-        return self._extract_all(paths, "files", queries, limit, timeout, fuse)
-
-    async def _extract_all(
-        self, items, kind, queries, limit, timeout, fuse
-    ) -> "dict[str, list[list[SpanTuple]]]":
-        items = list(items)
-        futures = await asyncio.to_thread(
-            lambda: self.submit_all(
-                items, queries=queries, kind=kind, limit=limit,
-                timeout=timeout, fuse=fuse,
+        async def awaited():
+            submitted = await asyncio.to_thread(
+                lambda: self.submit(
+                    items, queries=queries, kind=kind, limit=limit, cap=cap,
+                    timeout=timeout, max_tuples=max_tuples,
+                    max_result_bytes=max_result_bytes,
+                )
             )
-        )
-        results = await asyncio.gather(
-            *(asyncio.wrap_future(f) for f in futures.values())
-        )
-        return dict(zip(futures.keys(), results))
+            if isinstance(submitted, Future):
+                return await asyncio.wrap_future(submitted)
+            results = await asyncio.gather(
+                *(asyncio.wrap_future(f) for f in submitted.values())
+            )
+            return dict(zip(submitted, results))
 
-    @staticmethod
-    async def gather(*items: "Future | Awaitable") -> list:
-        """Await a mix of coroutines and service futures, in order."""
-        aws = [
-            asyncio.wrap_future(item) if isinstance(item, Future) else item
-            for item in items
-        ]
-        return await asyncio.gather(*aws)
+        return awaited()
 
     # -- Scheduling (driver internals; self._lock held throughout) ----------
     def _spawn_worker(self) -> WorkerHandle:
@@ -2281,7 +2126,7 @@ class SpannerService:
     def _record_failure_locked(self, query_id: str) -> None:
         """A fleet-level failure: deadline kill, lost workers, or
         exhausted transient retries.  Ordinary worker exceptions (a bad
-        path in ``submit_files``, a decode error) do NOT land here —
+        path in a ``kind="files"`` batch, a decode error) do NOT land here —
         they indict the input, not the fleet, and must never quarantine
         a query other inputs are using fine.
         """
@@ -2371,23 +2216,6 @@ class SpannerService:
 
 #: Sentinel: resolve a task's future by cancellation (terminate path).
 _CANCELLED = CancelledError()
-
-
-def _require_running_loop(name: str, sync_twin: str) -> None:
-    """Fail a synchronous call of an ``await``-able entry point loudly.
-
-    Without this, ``service.extract_all(docs)`` outside a coroutine
-    would return a coroutine object that is never awaited and so never
-    submits anything.
-    """
-    try:
-        asyncio.get_running_loop()
-    except RuntimeError:
-        raise RuntimeError(
-            f"SpannerService.{name}() must be awaited inside a running "
-            f"event loop; from synchronous code call "
-            f"service.{sync_twin} and read its futures"
-        ) from None
 
 
 def _combine(

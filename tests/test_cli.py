@@ -323,6 +323,17 @@ class TestWorkerSharding:
         assert info.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["fuse", "no-fuse"])
+    def test_retired_fuse_flags_are_rejected(self, name, capsys):
+        flag = f"--{name}"
+        with pytest.raises(SystemExit) as info:
+            main(["extract", ".*x{a}.*", ".*x{b}.*", "--text", "a",
+                  "--workers", "2", flag])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"unrecognized arguments: {flag}" in err
+
     def test_retired_thread_backend_is_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["extract", ".*x{a}.*", "--text", "a", "--workers", "2",

@@ -160,7 +160,7 @@ class TestCrashInjection:
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
-                svc.submit_chunk(qid, DOCS[i : i + 2])
+                svc.submit(DOCS[i : i + 2], queries=qid)
                 for i in range(0, len(DOCS), 2)
             ]
             with pytest.raises(RuntimeError, match="giving up"):
@@ -220,7 +220,7 @@ class TestHangsAndDeadlines:
             backend=backend,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            fut = svc.submit_chunk(qid, DOCS[:2])
+            fut = svc.submit(DOCS[:2], queries=qid)
             start = time.monotonic()
             with pytest.raises(TaskTimeoutError):
                 fut.result(timeout=10 * DEADLINE)
@@ -243,7 +243,7 @@ class TestHangsAndDeadlines:
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
-                svc.submit_chunk(qid, DOCS[i : i + 2])
+                svc.submit(DOCS[i : i + 2], queries=qid)
                 for i in range(0, len(DOCS), 2)
             ]
             with pytest.raises(TaskTimeoutError):
@@ -263,7 +263,7 @@ class TestHangsAndDeadlines:
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             # Disabled per call: the slow chunk completes exactly.
-            out = svc.submit_chunk(qid, DOCS[:2], timeout=None).result(
+            out = svc.submit(DOCS[:2], queries=qid, timeout=None).result(
                 timeout=120
             )
             assert canonical(out) == canonical(
@@ -280,7 +280,7 @@ class TestHangsAndDeadlines:
                 CompiledSpanner(WORD_FORMULA), timeout=DEADLINE
             )
             with pytest.raises(TaskTimeoutError):
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=10 * DEADLINE)
+                svc.submit(DOCS[:2], queries=qid).result(timeout=10 * DEADLINE)
 
     def test_async_extract_rejects_cleanly_on_timeout(self):
         """The awaited future rejects with TaskTimeoutError — the event
@@ -294,9 +294,9 @@ class TestHangsAndDeadlines:
             ) as svc:
                 qid = svc.register(CompiledSpanner(WORD_FORMULA))
                 with pytest.raises(TaskTimeoutError):
-                    await svc.extract(qid, DOCS[:4])
+                    await svc.extract(DOCS[:4], queries=qid)
                 # The loop (and the fleet) survive for the next call.
-                return await svc.extract(qid, DOCS[4:8])
+                return await svc.extract(DOCS[4:8], queries=qid)
 
         out = asyncio.run(run())
         serial = list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[4:8]))
@@ -334,7 +334,7 @@ class TestSlowAndTransient:
         with SpannerService(workers=1, chunk_size=2, fault_plan=plan) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(TransientTaskError):
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                svc.submit(DOCS[:2], queries=qid).result(timeout=120)
 
 
 class TestQuarantine:
@@ -354,13 +354,13 @@ class TestQuarantine:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             for _ in range(3):
                 with pytest.raises(TaskTimeoutError):
-                    svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                    svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert svc.quarantined_queries == (qid,)
 
             kills_before = svc.health()["counters"]["workers_killed_on_timeout"]
             start = time.monotonic()
             with pytest.raises(QueryQuarantinedError) as info:
-                svc.submit_chunk(qid, DOCS[:2])
+                svc.submit(DOCS[:2], queries=qid)
             # Fail-fast: synchronous, and no worker was burned on it.
             assert time.monotonic() - start < DEADLINE
             assert info.value.query_id == qid
@@ -376,7 +376,7 @@ class TestQuarantine:
             # Admitted again (the corpus is still poisonous, so it
             # times out — but it *ran*, consuming a worker).
             with pytest.raises(TaskTimeoutError):
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert svc.reinstate("never-registered") is False
 
     def test_half_open_probe_recovers_after_cooldown(self, word_serial):
@@ -393,12 +393,12 @@ class TestQuarantine:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             for _ in range(3):
                 with pytest.raises(TaskTimeoutError):
-                    svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                    svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert svc.quarantined_queries == (qid,)
             with pytest.raises(QueryQuarantinedError):
-                svc.submit_chunk(qid, DOCS[:2])
+                svc.submit(DOCS[:2], queries=qid)
             time.sleep(0.6)  # past the cool-down: next submit is the probe
-            probe = svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+            probe = svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert canonical(probe) == canonical(
                 list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[:2]))
             )
@@ -416,14 +416,14 @@ class TestQuarantine:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             for _ in range(2):
                 with pytest.raises(TaskTimeoutError):
-                    svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                    svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert svc.quarantined_queries == (qid,)
             time.sleep(0.5)
             with pytest.raises(TaskTimeoutError):  # the admitted probe
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             # Probe failed: quarantined again, immediately.
             with pytest.raises(QueryQuarantinedError):
-                svc.submit_chunk(qid, DOCS[:2])
+                svc.submit(DOCS[:2], queries=qid)
 
     def test_quarantine_is_per_query(self, word_serial):
         """One query's quarantine must not slow its neighbours."""
@@ -438,9 +438,9 @@ class TestQuarantine:
                 CompiledSpanner(WORD_FORMULA), query_id="good", timeout=None
             )
             with pytest.raises(TaskTimeoutError):
-                svc.submit_chunk(bad, DOCS[:2]).result(timeout=120)
+                svc.submit(DOCS[:2], queries=bad).result(timeout=120)
             with pytest.raises(QueryQuarantinedError):
-                svc.submit_chunk(bad, DOCS[:2])
+                svc.submit(DOCS[:2], queries=bad)
             # Tasks 1+ have no faults planned: "good" serves normally.
             out = svc.submit(DOCS, queries=good).result(timeout=120)
             assert canonical(out) == canonical(word_serial)
@@ -455,12 +455,12 @@ class TestOverloadPolicies:
             on_overload="reject", fault_plan=plan,
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            first = svc.submit_chunk(qid, DOCS[:1])
+            first = svc.submit(DOCS[:1], queries=qid)
             with pytest.raises(OverloadedError):
-                svc.submit_chunk(qid, DOCS[1:2])
+                svc.submit(DOCS[1:2], queries=qid)
             # The in-flight task is unharmed and the slot recycles.
             first.result(timeout=120)
-            retried = svc.submit_chunk(qid, DOCS[1:2]).result(timeout=120)
+            retried = svc.submit(DOCS[1:2], queries=qid).result(timeout=120)
             serial = list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[1:2]))
             assert canonical(retried) == canonical(serial)
 
@@ -477,12 +477,12 @@ class TestOverloadPolicies:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             # One worker, prefetch 2: task 0 runs (slowly), task 1
             # prefetches onto the worker, task 2 stays backlogged.
-            running = svc.submit_chunk(qid, DOCS[:1])
-            queued = svc.submit_chunk(qid, DOCS[1:2])
-            backlogged = svc.submit_chunk(qid, DOCS[2:3])
+            running = svc.submit(DOCS[:1], queries=qid)
+            queued = svc.submit(DOCS[1:2], queries=qid)
+            backlogged = svc.submit(DOCS[2:3], queries=qid)
             time.sleep(0.3)  # let the collector settle the dispatch
             # Slots are full: the newcomer displaces the backlogged one.
-            newcomer = svc.submit_chunk(qid, DOCS[3:4])
+            newcomer = svc.submit(DOCS[3:4], queries=qid)
             with pytest.raises(OverloadedError):
                 backlogged.result(timeout=120)
             assert svc.tasks_shed == 1
@@ -525,7 +525,7 @@ class TestCombinedFaults:
             service.start()
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             futures = [
-                service.submit_chunk(qid, DOCS[i : i + 2])
+                service.submit(DOCS[i : i + 2], queries=qid)
                 for i in range(0, len(DOCS), 2)
             ]
             survived: list = []
@@ -568,7 +568,7 @@ class TestResultCaps:
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             futures = [
-                svc.submit_chunk(qid, DOCS[i : i + 2])
+                svc.submit(DOCS[i : i + 2], queries=qid)
                 for i in range(0, len(DOCS), 2)
             ]
             with pytest.raises(ResultLimitError) as info:
@@ -593,10 +593,10 @@ class TestResultCaps:
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(ResultLimitError):
-                svc.submit_chunk(qid, DOCS[:2]).result(timeout=120)
+                svc.submit(DOCS[:2], queries=qid).result(timeout=120)
             assert svc.quarantined_queries == ()
             # Admitted immediately — no QueryQuarantinedError, no probe.
-            out = svc.submit_chunk(qid, DOCS[2:4]).result(timeout=120)
+            out = svc.submit(DOCS[2:4], queries=qid).result(timeout=120)
             serial = list(CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS[2:4]))
             assert canonical(out) == canonical(serial)
 
@@ -610,17 +610,19 @@ class TestResultCaps:
             workers=1, chunk_size=4, max_tuples=3, on_result_limit="truncate"
         ) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            out = svc.submit_chunk(qid, [doc]).result(timeout=120)
+            out = svc.submit([doc], queries=qid).result(timeout=120)
             assert out == [serial[:3]]  # one doc, exact prefix
             assert svc.docs_truncated == 1
             assert svc.tasks_result_limited == 0
             # An explicit per-call None disables the inherited cap.
-            full = svc.submit_chunk(qid, [doc], max_tuples=None).result(
+            full = svc.submit([doc], queries=qid, max_tuples=None).result(
                 timeout=120
             )
             assert full == [serial]
             # Counting is a fixed-size answer: never capped.
-            counts = svc.submit_counts([doc], queries=qid).result(timeout=120)
+            counts = svc.submit([doc], queries=qid, kind="counts").result(
+                timeout=120
+            )
             assert counts == [4]
 
     def test_byte_cap_and_per_call_override(self):
@@ -630,12 +632,12 @@ class TestResultCaps:
         with SpannerService(workers=1, chunk_size=4) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(ResultLimitError) as info:
-                svc.submit_chunk(qid, [doc], max_result_bytes=10).result(
+                svc.submit([doc], queries=qid, max_result_bytes=10).result(
                     timeout=120
                 )
             assert info.value.kind == "bytes"
             # Uncapped by default: the same chunk serves fine.
-            out = svc.submit_chunk(qid, [doc]).result(timeout=120)
+            out = svc.submit([doc], queries=qid).result(timeout=120)
             assert out == [list(CompiledSpanner(WORD_FORMULA).stream(doc))]
 
 

@@ -1,19 +1,19 @@
-"""Multi-query fusion (``submit_all`` / ``extract_all``).
+"""Multi-query fusion (a multi-query ``submit`` / ``extract``).
 
 The contract under test: a fused batch — one task per chunk answering
 every member query — is **observably identical** to Q sequential
 submissions:
 
 * per-query tuple streams byte-identical (content *and* order) to the
-  serial engine and to ``fuse=False`` sequential serving, for
-  docs/files work alike;
+  serial engine and to Q single-query submissions, for docs/files
+  work alike;
 * faults inside a fused task indict only the member whose phase was
   running: the offending query's breaker opens, the innocent members'
   breakers stay closed and keep serving;
 * a solo submission is the one-member case of the same path: result
   limits count the same, and the ``extract`` front-end warns nothing;
-* the ``extract_all`` front-end must be awaited: a synchronous call
-  fails at once instead of returning a coroutine that never runs;
+* the ``extract`` front-end must be awaited: a synchronous call fails
+  at once instead of returning a coroutine that never runs;
 * ``register()`` returns a :class:`QueryHandle` usable anywhere a
   query id string is.
 """
@@ -43,7 +43,6 @@ from repro.runtime.fusion import (
     FusedQuery,
     fused_fingerprint,
     fused_query_id,
-    plan_submission,
 )
 from repro.runtime.store import FileStore
 
@@ -77,20 +76,33 @@ def upper_serial():
     return list(CompiledSpanner(UPPER_FORMULA).evaluate_many(DOCS))
 
 
+def fused_entries(svc: SpannerService) -> list[str]:
+    """The fused engines a fleet has built (registry pseudo-entries)."""
+    with svc._lock:
+        return [k for k in svc._registry if k.startswith(FUSED_ID_PREFIX)]
+
+
 # ---------------------------------------------------------------------------
-# Planning layer
+# The fusion decision and fused ids
 # ---------------------------------------------------------------------------
 class TestPlanning:
-    def test_single_member_never_fuses(self):
-        assert plan_submission(["q1"]) == ("sequential", ("q1",))
+    def test_single_member_never_fuses(self, word_serial):
+        with SpannerService(workers=1, chunk_size=8) as svc:
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            out = svc.submit(DOCS, queries=[qid])
+            assert out[qid].result(timeout=120) == word_serial
+            assert fused_entries(svc) == []
 
     def test_two_members_fuse_by_default(self):
-        mode, ids = plan_submission(["q1", "q2"])
-        assert mode == "fused"
-        assert sorted(ids) == ["q1", "q2"]
-
-    def test_fuse_false_is_sequential(self):
-        assert plan_submission(["q1", "q2"], fuse=False)[0] == "sequential"
+        with SpannerService(workers=1, chunk_size=8) as svc:
+            ids = [
+                svc.register(CompiledSpanner(WORD_FORMULA)),
+                svc.register(CompiledSpanner(DIGIT_FORMULA)),
+            ]
+            for fut in svc.submit(DOCS[:8], queries=ids).values():
+                fut.result(timeout=120)
+            assert len(fused_entries(svc)) == 1
+            assert svc.tasks_completed == 1  # one task answered both
 
     def test_fused_ids_are_order_insensitive_and_prefixed(self):
         a = fused_query_id(["sha-b", "sha-a"])
@@ -117,7 +129,8 @@ class TestFusedParity:
         self, word_serial, digit_serial, upper_serial
     ):
         """Acceptance: regex + equality members fused in one batch, per
-        query byte-identical to serial and to fuse=False."""
+        query byte-identical to serial and to one submission per
+        query."""
         eq_engine, eq_docs = equality_engine()
         # All members must share one batch, so evaluate the equality
         # query over the same corpus the regex members see.
@@ -129,8 +142,8 @@ class TestFusedParity:
                 svc.register(CompiledSpanner(UPPER_FORMULA)),
                 svc.register(eq_engine),
             ]
-            fused = svc.submit_all(DOCS, queries=handles)
-            sequential = svc.submit_all(DOCS, queries=handles, fuse=False)
+            fused = svc.submit(DOCS, queries=handles)
+            sequential = {h: svc.submit(DOCS, queries=h) for h in handles}
             expected = [word_serial, digit_serial, upper_serial, eq_serial]
             for handle, serial in zip(handles, expected):
                 got = fused[handle].result(timeout=120)
@@ -150,7 +163,7 @@ class TestFusedParity:
         with SpannerService(workers=2, chunk_size=4) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            out = svc.submit_all(paths, kind="files")
+            out = svc.submit(paths, kind="files")
             assert canonical(out[q_word].result(timeout=120)) == canonical(
                 word_serial
             )
@@ -162,7 +175,7 @@ class TestFusedParity:
         with SpannerService(workers=1, chunk_size=8) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             svc.register(CompiledSpanner(DIGIT_FORMULA))
-            out = svc.submit_all(DOCS)
+            out = svc.submit(DOCS)
             assert set(out) == set(svc.queries)
             assert canonical(out[q_word].result(timeout=120)) == canonical(
                 word_serial
@@ -172,35 +185,35 @@ class TestFusedParity:
         with SpannerService(workers=1, chunk_size=8) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            full = svc.submit_all(DOCS)
-            capped = svc.submit_all(DOCS, limit=1)
+            full = svc.submit(DOCS)
+            capped = svc.submit(DOCS, limit=1)
             for qid in (q_word, q_digit):
                 want = [per_doc[:1] for per_doc in full[qid].result(120)]
                 assert capped[qid].result(timeout=120) == want
 
-    def test_extract_all_async_parity(self, word_serial, digit_serial):
+    def test_extract_many_async_parity(self, word_serial, digit_serial):
         async def scenario():
             with SpannerService(workers=2, chunk_size=4) as svc:
                 q_word = svc.register(CompiledSpanner(WORD_FORMULA))
                 q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-                return q_word, q_digit, await svc.extract_all(DOCS)
+                return q_word, q_digit, await svc.extract(DOCS)
 
         q_word, q_digit, out = asyncio.run(scenario())
         assert canonical(out[q_word]) == canonical(word_serial)
         assert canonical(out[q_digit]) == canonical(digit_serial)
 
-    def test_extract_all_outside_an_event_loop_fails_loudly(self, tmp_path):
+    def test_extract_many_outside_an_event_loop_fails_loudly(self, tmp_path):
         path = tmp_path / "doc.txt"
         path.write_text(DOCS[0])
         with SpannerService(workers=1, backend="serial") as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            with pytest.raises(RuntimeError, match=r"submit_all\(docs\)"):
-                svc.extract_all(DOCS)
-            with pytest.raises(RuntimeError, match=r"submit_files\(paths\)"):
-                svc.extract_all_files([str(path)])
-            # Nothing was submitted; the synchronous twins still serve.
+            with pytest.raises(RuntimeError, match=r"service\.submit\(\)"):
+                svc.extract(DOCS)
+            with pytest.raises(RuntimeError, match=r"service\.submit\(\)"):
+                svc.extract([str(path)], kind="files")
+            # Nothing was submitted; the synchronous twin still serves.
             assert svc.tasks_completed == 0
-            assert svc.submit_all(DOCS)[qid].result(timeout=60) == list(
+            assert svc.submit(DOCS)[qid].result(timeout=60) == list(
                 CompiledSpanner(WORD_FORMULA).evaluate_many(DOCS)
             )
 
@@ -208,7 +221,7 @@ class TestFusedParity:
         with SpannerService(workers=1) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(ValueError):
-                svc.submit_all(DOCS[:2], queries=[qid, qid])
+                svc.submit(DOCS[:2], queries=[qid, qid])
 
     def test_fused_artifact_cached_and_revived(self, tmp_path, word_serial):
         """The fused engine lands in the artifact store under its
@@ -220,7 +233,7 @@ class TestFusedParity:
             ) as svc:
                 q_word = svc.register(WORD_FORMULA)
                 svc.register(DIGIT_FORMULA)
-                out = svc.submit_all(DOCS)
+                out = svc.submit(DOCS)
                 assert canonical(
                     out[q_word].result(timeout=120)
                 ) == canonical(word_serial)
@@ -234,7 +247,7 @@ class TestFusedParity:
         with SpannerService(workers=1, chunk_size=8) as svc:
             svc.register(CompiledSpanner(WORD_FORMULA))
             svc.register(CompiledSpanner(DIGIT_FORMULA))
-            for fut in svc.submit_all(DOCS[:4]).values():
+            for fut in svc.submit(DOCS[:4]).values():
                 fut.result(timeout=120)
             assert all(
                 not qid.startswith(FUSED_ID_PREFIX) for qid in svc.queries
@@ -243,20 +256,18 @@ class TestFusedParity:
 
 
 # ---------------------------------------------------------------------------
-# ParallelSpanner routes through the shared decision point
+# A one-query session never fuses
 # ---------------------------------------------------------------------------
 class TestParallelSpannerFuseKnob:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_single_query_session_unchanged(self, fuse, word_serial):
+    def test_single_query_session_unchanged(self, word_serial):
         """A one-query session never fuses: ParallelSpanner and a
-        single-member ``submit_all`` give the serial stream whichever
-        way ``fuse`` is set."""
+        single-member multi-query ``submit`` give the serial stream."""
         with ParallelSpanner(WORD_FORMULA, workers=2) as engine:
             out = list(engine.evaluate_many(DOCS))
         assert canonical(out) == canonical(word_serial)
         with SpannerService(workers=2, chunk_size=8) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
-            got = svc.submit_all(DOCS, fuse=fuse)
+            got = svc.submit(DOCS)
             assert list(got) == [str(qid)]
             assert canonical(got[str(qid)].result(timeout=120)) == canonical(
                 word_serial
@@ -287,7 +298,7 @@ class TestFusedFaults:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
             assert str(q_digit) == bad
-            out = svc.submit_all(DOCS)
+            out = svc.submit(DOCS)
             with pytest.raises(RuntimeError, match="giving up"):
                 out[q_digit].result(timeout=120)
             # The fused task died as a unit: the sibling's future fails
@@ -296,9 +307,9 @@ class TestFusedFaults:
                 out[q_word].result(timeout=120)
             assert svc.quarantined_queries == (str(q_digit),)
             with pytest.raises(QueryQuarantinedError):
-                svc.submit_all(DOCS, queries=[q_word, q_digit], fuse=False)[
-                    q_digit
-                ].result(timeout=120)
+                svc.submit(DOCS, queries=[q_word, q_digit])[q_digit].result(
+                    timeout=120
+                )
             # The innocent member still serves, bytes intact.
             healthy = svc.submit(DOCS, queries=q_word).result(timeout=120)
             assert canonical(healthy) == canonical(word_serial)
@@ -316,7 +327,7 @@ class TestFusedFaults:
         ) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            out = svc.submit_all(DOCS)
+            out = svc.submit(DOCS)
             with pytest.raises(TaskTimeoutError, match="serving member"):
                 out[q_digit].result(timeout=120)
             deadline = time.time() + 10
@@ -339,7 +350,7 @@ class TestFusedFaults:
         ) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            out = svc.submit_all(DOCS)
+            out = svc.submit(DOCS)
             assert canonical(out[q_word].result(timeout=120)) == canonical(
                 word_serial
             )
@@ -349,7 +360,7 @@ class TestFusedFaults:
             assert svc.workers_crashed >= 1
 
     def test_quarantined_member_filtered_not_fatal(self, word_serial):
-        """submit_all with one quarantined member fails that member's
+        """submit with one quarantined member fails that member's
         future synchronously and serves the rest (fused or not)."""
         with SpannerService(
             workers=1, chunk_size=len(DOCS), quarantine_after=1,
@@ -366,7 +377,7 @@ class TestFusedFaults:
                 breaker = svc._breakers.setdefault(str(q_digit), _Breaker())
                 breaker.failures = 1
                 breaker.opened_at = time.monotonic()
-            out = svc.submit_all(DOCS)
+            out = svc.submit(DOCS)
             with pytest.raises(QueryQuarantinedError):
                 out[q_digit].result(timeout=120)
             assert canonical(out[q_word].result(timeout=120)) == canonical(
@@ -375,7 +386,7 @@ class TestFusedFaults:
 
 
 # ---------------------------------------------------------------------------
-# API redesign: QueryHandle and deprecation shims
+# One submission surface: submit, its awaitable twin, QueryHandle
 # ---------------------------------------------------------------------------
 class TestUnifiedSubmitAPI:
     def test_register_returns_query_handle(self):
@@ -389,13 +400,22 @@ class TestUnifiedSubmitAPI:
             assert handle.max_tuples == 7
             assert handle.max_result_bytes is None
 
+    def test_submit_all_is_an_alias_of_submit(self, word_serial):
+        """One id through the alias gets submit's single Future (the
+        id's characters are not taken for a sequence of ids)."""
+        with SpannerService(workers=1, backend="serial") as svc:
+            qid = svc.register(CompiledSpanner(WORD_FORMULA))
+            future = svc.submit_all(DOCS, queries=qid)
+            assert future.result(timeout=60) == word_serial
+        assert SpannerService.submit_all is SpannerService.submit
+
     def test_two_positional_submit_is_gone(self):
         with SpannerService(workers=1) as svc:
             qid = svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(TypeError):
                 svc.submit(qid, DOCS)
 
-    def test_extract_and_extract_files_warn_nothing(
+    def test_extract_docs_and_files_warn_nothing(
         self, tmp_path, word_serial
     ):
         paths = []
@@ -408,8 +428,8 @@ class TestUnifiedSubmitAPI:
             with SpannerService(workers=1, chunk_size=8) as svc:
                 qid = svc.register(CompiledSpanner(WORD_FORMULA))
                 return (
-                    await svc.extract(qid, DOCS),
-                    await svc.extract_files(qid, paths),
+                    await svc.extract(DOCS, queries=qid),
+                    await svc.extract(paths, queries=qid, kind="files"),
                 )
 
         with warnings.catch_warnings():
@@ -430,7 +450,7 @@ class TestUnifiedSubmitAPI:
             # At most one tuple per document: never crosses the cap.
             q_quiet = svc.register(CompiledSpanner("s{say}.*"))
             if fused:
-                out = svc.submit_all(DOCS, queries=[q_word, q_quiet])
+                out = svc.submit(DOCS, queries=[q_word, q_quiet])
                 assert out[q_quiet].result(timeout=120)[0] != []
                 future = out[q_word]
             else:
@@ -443,7 +463,7 @@ class TestUnifiedSubmitAPI:
         with SpannerService(workers=1, chunk_size=8) as svc:
             q_word = svc.register(CompiledSpanner(WORD_FORMULA))
             q_digit = svc.register(CompiledSpanner(DIGIT_FORMULA))
-            out = svc.submit_all(DOCS, kind="counts")
+            out = svc.submit(DOCS, kind="counts")
             word = CompiledSpanner(WORD_FORMULA)
             digit = CompiledSpanner(DIGIT_FORMULA)
             assert out[q_word].result(timeout=120) == list(
@@ -457,4 +477,4 @@ class TestUnifiedSubmitAPI:
         with SpannerService(workers=1) as svc:
             svc.register(CompiledSpanner(WORD_FORMULA))
             with pytest.raises(ValueError):
-                svc.submit_all(DOCS[:2], kind="frobnicate")
+                svc.submit(DOCS[:2], kind="frobnicate")

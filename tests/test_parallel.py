@@ -8,10 +8,11 @@ input order — and ``workers=1`` never touches :mod:`multiprocessing`.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.runtime import CompiledSpanner, ParallelSpanner
-from repro.runtime import parallel as parallel_module
 from repro.vset import compile_regex, join
 
 FORMULA = "(ε|.*[^a-z])x{[a-z]+}([^a-z].*|ε)"
@@ -95,7 +96,7 @@ class TestSerialFallback:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("workers=1 must not create a pool")
 
-        monkeypatch.setattr(parallel_module.multiprocessing, "get_context", boom)
+        monkeypatch.setattr(multiprocessing, "get_context", boom)
         engine = ParallelSpanner(FORMULA, workers=1)
         assert list(engine.evaluate_many(DOCS)) == serial_output
         assert list(engine.count_many(DOCS[:4])) == [

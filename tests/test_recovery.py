@@ -364,7 +364,7 @@ service = SpannerService(
 service.start()
 qid = service.register({formula!r}, query_id="words")
 docs = ["say hi ho " + "x" * 256] * 8
-futures = [service.submit_chunk(qid, [doc]) for doc in docs]
+futures = [service.submit([doc], queries=qid) for doc in docs]
 for future in futures:
     future.result()
 print("UNREACHABLE: the driver_kill hook never fired", flush=True)

@@ -156,13 +156,15 @@ class TestFleetMatchesSerial:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
             capped = service.submit(DOCS, queries=qid, limit=2).result()
             assert capped == [per_doc[:2] for per_doc in word_serial]
-            counts = service.submit_counts(DOCS, queries=qid).result()
+            counts = service.submit(DOCS, queries=qid, kind="counts").result()
             assert counts == [len(per_doc) for per_doc in word_serial]
-            capped_counts = service.submit_counts(DOCS, queries=qid, cap=3).result()
+            capped_counts = service.submit(
+                DOCS, queries=qid, kind="counts", cap=3
+            ).result()
             assert capped_counts == [min(c, 3) for c in counts]
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_submit_files(self, tmp_path, word_serial, backend):
+    def test_submit_kind_files(self, tmp_path, word_serial, backend):
         paths = []
         for i, doc in enumerate(DOCS[:10]):
             path = tmp_path / f"doc{i}.txt"
@@ -170,10 +172,11 @@ class TestFleetMatchesSerial:
             paths.append(str(path))
         with SpannerService(workers=2, chunk_size=3, backend=backend) as service:
             qid = service.register(CompiledSpanner(WORD_FORMULA))
-            assert service.submit_files(paths, queries=qid).result() == word_serial[:10]
+            got = service.submit(paths, queries=qid, kind="files").result()
+            assert got == word_serial[:10]
             with pytest.raises(OSError):
-                service.submit_files(
-                    paths + ["/nonexistent/x"], queries=qid
+                service.submit(
+                    paths + ["/nonexistent/x"], queries=qid, kind="files"
                 ).result()
             # An unreadable file fails its batch; the fleet survives.
             assert service.submit(DOCS[:4], queries=qid).result() == word_serial[:4]
@@ -201,7 +204,7 @@ class TestRegistration:
     def test_unknown_query_id_raises(self):
         with SpannerService(workers=1) as service:
             with pytest.raises(KeyError):
-                service.submit_chunk("no-such-query", ["doc"])
+                service.submit(["doc"], queries="no-such-query")
 
     def test_late_registration_reaches_running_workers(self, digit_serial):
         with SpannerService(workers=2, chunk_size=3) as service:
@@ -271,13 +274,13 @@ class TestFailurePaths:
         for future in futures:
             assert future.result(timeout=0) == word_serial
         with pytest.raises(RuntimeError):
-            service.submit_chunk(qid, DOCS[:2])
+            service.submit(DOCS[:2], queries=qid)
 
     def test_terminate_cancels_outstanding(self):
         service = SpannerService(workers=2, chunk_size=1)
         service.start()
         qid = service.register(CompiledSpanner(WORD_FORMULA))
-        futures = [service.submit_chunk(qid, ["a b c"]) for _ in range(64)]
+        futures = [service.submit(["a b c"], queries=qid) for _ in range(64)]
         service.close(drain=False)
         # Every future is resolved one way or the other — nothing hangs.
         done = sum(1 for f in futures if f.done())
@@ -304,7 +307,7 @@ class TestFailurePaths:
         service = SpannerService(workers=2, chunk_size=1, fault_plan=plan)
         service.start()
         qid = service.register(CompiledSpanner(WORD_FORMULA))
-        futures = [service.submit_chunk(qid, [doc]) for doc in DOCS[:8]]
+        futures = [service.submit([doc], queries=qid) for doc in DOCS[:8]]
         start = time.monotonic()
         service.close(drain=True, timeout=0.5)
         elapsed = time.monotonic() - start
@@ -382,7 +385,8 @@ class TestAsyncFrontend:
                 q1 = service.register(CompiledSpanner(WORD_FORMULA))
                 q2 = service.register(CompiledSpanner(DIGIT_FORMULA))
                 one, two = await asyncio.gather(
-                    service.extract(q1, DOCS), service.extract(q2, DOCS)
+                    service.extract(DOCS, queries=q1),
+                    service.extract(DOCS, queries=q2),
                 )
                 return one, two
 
@@ -394,9 +398,10 @@ class TestAsyncFrontend:
         async def run():
             with SpannerService(workers=2, chunk_size=4) as service:
                 qid = service.register(CompiledSpanner(WORD_FORMULA))
-                return await service.gather(
-                    service.submit(DOCS[:4], queries=qid),
-                    service.extract(qid, DOCS[4:8]),
+                future = service.submit(DOCS[:4], queries=qid)
+                return await asyncio.gather(
+                    asyncio.wrap_future(future),
+                    service.extract(DOCS[4:8], queries=qid),
                 )
 
         first, second = asyncio.run(run())
@@ -409,7 +414,9 @@ class TestAsyncFrontend:
                 qid = service.register(CompiledSpanner(WORD_FORMULA))
                 # Enough work that the cancel lands while chunks are
                 # still in flight (64 single-doc chunks on 2 workers).
-                task = asyncio.create_task(service.extract(qid, DOCS * 2))
+                task = asyncio.create_task(
+                    service.extract(DOCS * 2, queries=qid)
+                )
                 await asyncio.sleep(0.01)
                 cancelled = task.cancel()
                 if cancelled:
@@ -418,11 +425,11 @@ class TestAsyncFrontend:
                 else:  # the batch won the race and already resolved
                     assert await task == word_serial * 2
                 # The fleet absorbed the abandoned work and still serves.
-                return await service.extract(qid, DOCS[:6])
+                return await service.extract(DOCS[:6], queries=qid)
 
         assert asyncio.run(run()) == word_serial[:6]
 
-    def test_extract_files(self, tmp_path, word_serial):
+    def test_extract_kind_files(self, tmp_path, word_serial):
         paths = []
         for i, doc in enumerate(DOCS[:8]):
             path = tmp_path / f"doc{i}.txt"
@@ -432,9 +439,18 @@ class TestAsyncFrontend:
         async def run():
             with SpannerService(workers=2, chunk_size=3) as service:
                 qid = service.register(CompiledSpanner(WORD_FORMULA))
-                return await service.extract_files(qid, paths)
+                return await service.extract(paths, queries=qid, kind="files")
 
         assert asyncio.run(run()) == word_serial[:8]
+
+    def test_extract_from_sync_code_raises_naming_submit(self):
+        """A synchronous ``extract`` call fails at once instead of
+        returning a coroutine that never runs (and never submits)."""
+        with SpannerService(workers=1, backend="serial") as service:
+            qid = service.register(CompiledSpanner(WORD_FORMULA))
+            with pytest.raises(RuntimeError, match=r"service\.submit\(\)"):
+                service.extract(DOCS[:2], queries=qid)
+            assert service.tasks_completed == 0
 
 
 class TestBackpressure:

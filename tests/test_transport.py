@@ -8,8 +8,8 @@ straight from ``mmap``).  The contract:
 * the ``mmap`` read path decodes files identically to a plain read;
 * the task pipe carries large payloads (a ~200 KiB chunk, a document
   over 1 MiB) and hostile text (empty documents, NUL, astral characters,
-  a lone surrogate) losslessly, so ``submit`` and fused ``submit_all``
-  on every backend are byte-identical to the serial engine;
+  a lone surrogate) losslessly, so single-query and fused multi-query
+  ``submit`` on every backend are byte-identical to the serial engine;
 * no submission creates a ``/dev/shm`` segment or a session directory.
 """
 
@@ -45,7 +45,7 @@ def _text(utf8_bytes: int) -> str:
 
 
 #: case -> (documents, chunk_size, members): ``submit`` serves the
-#: first member alone, ``submit_all`` fuses them all.
+#: first member alone, then fuses them all.
 CASES = {
     # Four ~50 KiB documents in one chunk: a ~200 KiB task message.
     "chunk_200k": ([_text(50 * 1024) for _ in range(4)], 4, (TAIL, PROBE)),
@@ -95,7 +95,7 @@ def test_pipe_payload_parity(backend, case, serial):
         # Both submissions in flight at once: on two process workers
         # the solo and the fused task run side by side.
         solo = service.submit(docs, queries=qids[0])
-        fused = service.submit_all(docs, queries=qids)
+        fused = service.submit(docs, queries=qids)
         assert solo.result(timeout=300) == serial[case, members[0]]
         for qid, formula in zip(qids, members):
             assert fused[qid].result(timeout=300) == serial[case, formula]
